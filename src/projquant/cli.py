@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -27,6 +28,26 @@ from .flatmodel import (
     solver_singular_deltas,
 )
 from .tensor import symbol_rep
+
+
+# flags whose value may be a negative rational such as -1/3
+_RATIONAL_FLAGS = frozenset({"--delta", "--base", "--lambda", "--mu"})
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write "--delta -1/3" as "--delta=-1/3".
+
+    argparse reads a token such as -1/3 as an unknown option rather than as
+    the value of the preceding flag; only -1 or -0.5 pass as numbers.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _RATIONAL_FLAGS and _NEGATIVE_NUMBER.match(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _rational(text: str) -> Fraction:
@@ -294,7 +315,9 @@ def _resonance_diagnostic(exc: ResonantWeight, args) -> dict:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_attach_negative_values(argv))
     fmt = args.format
     if fmt is None:
         fmt = os.environ.get("PROJQUANT_FORMAT", "json")

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
-from .linalg import invert_matrix
 from .poly import Poly
 from .sections import PolyVectorField, TensorSection, lie_derivative
 
@@ -54,7 +52,14 @@ def matrix_bracket(a: Matrix, b: Matrix) -> Matrix:
 def killing_form(a: Matrix, b: Matrix) -> Fraction:
     """kappa(a, b) = 2(m+1) tr(ab) on sl(m+1)."""
     n = len(a)
-    return 2 * n * matrix_trace(matrix_mul(a, b))
+    return 2 * n * sum(a[i][j] * b[j][i] for i in range(n) for j in range(n))
+
+
+def _matrix(size: int, entries: dict) -> Matrix:
+    """size x size matrix with the given {(row, column): value} entries."""
+    return tuple(
+        tuple(Fraction(entries.get((r, c), 0)) for c in range(size)) for r in range(size)
+    )
 
 
 def sl_basis(m: int) -> list[Matrix]:
@@ -65,69 +70,29 @@ def sl_basis(m: int) -> list[Matrix]:
     if m < 2:
         raise ValueError("rank must be at least 2")
     p = m + 1
-    basis: list[Matrix] = []
-    for a in range(p):
-        for b in range(p):
-            if a != b:
-                basis.append(
-                    tuple(
-                        tuple(
-                            Fraction(1) if (i, j) == (a, b) else Fraction(0)
-                            for j in range(p)
-                        )
-                        for i in range(p)
-                    )
-                )
-    for i in range(m):
-        basis.append(
-            tuple(
-                tuple(
-                    Fraction(1)
-                    if (r, c) == (i, i)
-                    else Fraction(-1)
-                    if (r, c) == (m, m)
-                    else Fraction(0)
-                    for c in range(p)
-                )
-                for r in range(p)
-            )
-        )
+    basis = [_matrix(p, {(a, b): 1}) for a in range(p) for b in range(p) if a != b]
+    basis += [_matrix(p, {(i, i): 1, (m, m): -1}) for i in range(m)]
     return basis
 
 
 @lru_cache(maxsize=None)
 def killing_dual_basis(m: int) -> tuple[tuple[Matrix, ...], tuple[Matrix, ...]]:
-    """Basis of sl(m+1) together with its Killing-dual basis.
+    """Basis of sl(m+1) together with its Killing-dual basis, in closed form.
 
-    The dual is obtained by exact inversion of the Gram matrix, so the
-    pairing kappa(u_i, u+_j) is exactly the identity.
+    With kappa(X, Y) = 2(m+1) tr(XY), the dual of E_ab is E_ba / 2(m+1).
+    The Cartan elements H_i = E_ii - E_{m+1,m+1} have Gram matrix 2(m+1)(I + J),
+    whose inverse is (I - J/(m+1)) / 2(m+1); summed against the H_j this
+    makes the dual of H_i the traceless matrix (E_ii - I/(m+1)) / 2(m+1).
     """
     basis = sl_basis(m)
-    p = len(basis)
-    gram = [[killing_form(basis[i], basis[j]) for j in range(p)] for i in range(p)]
-    inv = invert_matrix(gram)
-    dual: list[Matrix] = []
-    size = m + 1
-    for i in range(p):
-        entries = [
-            [
-                sum(inv[j][i] * basis[j][r][c] for j in range(p))
-                for c in range(size)
-            ]
-            for r in range(size)
-        ]
-        dual.append(_as_matrix(entries))
-    for i in range(p):
-        for j in range(p):
-            expected = Fraction(1) if i == j else Fraction(0)
-            assert killing_form(basis[i], dual[j]) == expected
+    p = m + 1
+    c = Fraction(1, 2 * p)
+    dual = [_matrix(p, {(b, a): c}) for a in range(p) for b in range(p) if a != b]
+    dual += [
+        _matrix(p, {(r, r): c * ((1 if r == i else 0) - Fraction(1, p)) for r in range(p)})
+        for i in range(m)
+    ]
     return tuple(basis), tuple(dual)
-
-
-def _plain(value: Fraction):
-    """Demote integral Fractions to int so polynomial products stay on the
-    fast integer path."""
-    return value.numerator if value.denominator == 1 else value
 
 
 def proj_embedding(h) -> PolyVectorField:
@@ -143,33 +108,23 @@ def proj_embedding(h) -> PolyVectorField:
     for i in range(m):
         p = Poly.zero(m)
         if h[i][m]:
-            p = p + Poly.constant(m, _plain(h[i][m]))
+            p = p + Poly.constant(m, h[i][m])
         for j in range(m):
             c = h[i][j] - (a if i == j else 0)
             if c:
-                p = p + Poly.variable(m, j).scale(_plain(c))
+                p = p + Poly.variable(m, j).scale(c)
         for j in range(m):
             if h[m][j]:
-                p = p - (Poly.variable(m, j) * Poly.variable(m, i)).scale(_plain(h[m][j]))
+                p = p - (Poly.variable(m, j) * Poly.variable(m, i)).scale(h[m][j])
         comps.append(p)
     return PolyVectorField(tuple(comps))
 
 
 @lru_cache(maxsize=None)
-def casimir_field_pairs(m: int) -> tuple[tuple[PolyVectorField, PolyVectorField, Fraction], ...]:
-    """Killing-dual field pairs, the dual scaled to integer entries.
-
-    Each entry is (embedded u, embedded c * u_dual, 1/c) with c clearing the
-    denominators of the dual matrix; the Lie derivative is linear in the
-    field, so the scalar is reapplied after both derivatives.
-    """
+def casimir_field_pairs(m: int) -> tuple[tuple[PolyVectorField, PolyVectorField], ...]:
+    """Embedded Killing-dual pairs (u, u+) of sl(m+1)."""
     basis, dual = killing_dual_basis(m)
-    pairs = []
-    for u, ud in zip(basis, dual):
-        c = lcm(*(x.denominator for row in ud for x in row))
-        scaled = tuple(tuple(x * c for x in row) for row in ud)
-        pairs.append((proj_embedding(u), proj_embedding(scaled), Fraction(1, c)))
-    return tuple(pairs)
+    return tuple((proj_embedding(u), proj_embedding(ud)) for u, ud in zip(basis, dual))
 
 
 def classical_casimir(section: TensorSection) -> TensorSection:
@@ -180,7 +135,6 @@ def classical_casimir(section: TensorSection) -> TensorSection:
     """
     m = section.rank
     total = TensorSection(m, section.degree, section.twist, section.weight)
-    for outer, inner, scale in casimir_field_pairs(m):
-        term = lie_derivative(outer, lie_derivative(inner, section))
-        total = total + (term if scale == 1 else term.scale(scale))
+    for outer, inner in casimir_field_pairs(m):
+        total = total + lie_derivative(outer, lie_derivative(inner, section))
     return total

@@ -8,11 +8,12 @@ for bookkeeping.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import product
 from math import comb
 
-from .poly import Poly
+from .poly import Poly, poly_sum
 from .sections import PolyVectorField, TensorSection
 
 MultiIndex = tuple[int, ...]
@@ -87,7 +88,7 @@ def derivative_of_poly(p: Poly, beta: MultiIndex) -> Poly:
 def compose(outer: DiffOperator, inner: DiffOperator) -> DiffOperator:
     """Operator composition, expanding d^alpha (b g) by the Leibniz rule."""
     rank = outer.rank
-    out: dict[MultiIndex, Poly] = {}
+    parts: dict[MultiIndex, list[Poly]] = defaultdict(list)
     for alpha, pa in outer.coeffs.items():
         for beta, pb in inner.coeffs.items():
             for tau in product(*(range(a + 1) for a in alpha)):
@@ -98,13 +99,8 @@ def compose(outer: DiffOperator, inner: DiffOperator) -> DiffOperator:
                 if not q:
                     continue
                 gamma = tuple(a - t + b for a, t, b in zip(alpha, tau, beta))
-                term = pa * q.scale(factor)
-                s = out.get(gamma)
-                s = term if s is None else s + term
-                if s:
-                    out[gamma] = s
-                else:
-                    out.pop(gamma, None)
+                parts[gamma].append(pa * q.scale(factor))
+    out = {gamma: poly_sum(rank, terms) for gamma, terms in parts.items()}
     return DiffOperator(rank, out, inner.weight_in, outer.weight_out)
 
 

@@ -1,29 +1,172 @@
-"""Sparse multivariate polynomials over exact scalars.
+"""Sparse multivariate polynomials with exact rational coefficients.
 
-Coefficients may be ints, Fractions, or any exact scalar type supporting
-ring arithmetic and comparison with 0 (the symbolic-weight machinery feeds
-rational functions through the same code paths).  Keys are exponent tuples,
-one entry per variable; zero coefficients are dropped eagerly.
+A polynomial stores integer numerators over one shared positive
+denominator.  Every result is reduced (the denominator is coprime to the
+numerators as a whole, and the zero polynomial has denominator 1), so
+equal polynomials have equal representations and compare equal.
+
+Each monomial is one packed int.  With a field width w that depends only on
+the number of variables, the exponent of variable i occupies bits
+[i*w, (i+1)*w) and the total degree occupies the field above the last
+exponent.  Keys therefore order monomials by total degree first, the
+product of two monomials is the sum of their keys, and differentiating in
+x_i subtracts one precomputed key.  The largest key of a polynomial carries
+its total degree, so one check per product, on the two largest keys,
+raises OverflowError before any exponent could carry into its neighbour.
+
+`coeffs` is a view rebuilt on every access: {exponent tuple: int or
+Fraction}.  Code that reads it in a loop should read it once.
+Coefficients must be ints or Fractions; anything else raises TypeError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 Monomial = tuple[int, ...]
 
 
+class _Layout:
+    """Packing of exponent tuples of one length into ints."""
+
+    __slots__ = ("nvars", "mask", "shifts", "degree_shift", "limit", "steps", "zero")
+
+    def __init__(self, nvars: int):
+        if nvars < 0:
+            raise ValueError(f"number of variables must be non-negative, got {nvars}")
+        # nvars exponent fields and the degree field share 60 bits (two
+        # 30-bit int digits) up to nvars = 6; past that each field keeps 8 bits
+        width = max(8, 60 // (nvars + 1))
+        self.nvars = nvars
+        self.mask = (1 << width) - 1
+        self.shifts = tuple(i * width for i in range(nvars))
+        self.degree_shift = nvars * width
+        self.limit = 1 << (self.degree_shift + width)  # keys of degree 2**w and up
+        # (shift, key of x_i, mask) per variable: what diff needs
+        self.steps = tuple(
+            (s, (1 << s) + (1 << self.degree_shift), self.mask) for s in self.shifts
+        )
+        self.zero = _poly(self, {}, 1)
+
+    def pack(self, exps: Iterable[int]) -> int:
+        exps = tuple(exps)
+        if len(exps) != self.nvars:
+            raise ValueError(f"monomial {exps} does not have {self.nvars} exponents")
+        if any(e < 0 for e in exps):
+            raise ValueError(f"monomial {exps} has a negative exponent")
+        key = sum(exps) << self.degree_shift
+        if key >= self.limit:
+            raise OverflowError(
+                f"monomial {exps} exceeds total degree {self.mask} for {self.nvars} variables"
+            )
+        for e, s in zip(exps, self.shifts):
+            key += e << s
+        return key
+
+    def unpack(self, key: int) -> Monomial:
+        mask = self.mask
+        return tuple((key >> s) & mask for s in self.shifts)
+
+    def require(self, poly: "Poly") -> None:
+        if poly._layout is not self:
+            raise ValueError(
+                f"polynomials in {poly.nvars} and {self.nvars} variables do not combine"
+            )
+
+
+_layout = lru_cache(maxsize=None)(_Layout)
+
+
+def _poly(layout: _Layout, terms: dict[int, int], den: int) -> "Poly":
+    """Poly from packed terms with nonzero numerators over den > 0, reduced."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {k: v // g for k, v in terms.items()}
+    result = Poly.__new__(Poly)
+    result._layout = layout
+    result._terms = terms
+    result._den = den
+    return result
+
+
+def poly_sum(nvars: int, polys: Iterable["Poly"]) -> "Poly":
+    """Sum of polynomials in nvars variables, merged into one dict."""
+    return _sum(_layout(nvars), list(polys))
+
+
+def _sum(layout: _Layout, polys: list["Poly"]) -> "Poly":
+    den = 1
+    for p in polys:
+        layout.require(p)
+        if p._den != den:
+            den = lcm(den, p._den)
+    out: dict[int, int] = {}
+    for p in polys:
+        f = den // p._den
+        terms = p._terms if f == 1 else {k: v * f for k, v in p._terms.items()}
+        if not out:
+            out = dict(terms)
+            continue
+        get = out.get
+        for k, v in terms.items():
+            s = get(k, 0) + v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return _poly(layout, out, den)
+
+
 class Poly:
-    __slots__ = ("nvars", "coeffs")
+    __slots__ = ("_layout", "_terms", "_den")
 
     def __init__(self, nvars: int, coeffs: Mapping[Monomial, object] | None = None):
-        self.nvars = nvars
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v != 0}
+        layout = _layout(nvars)
+        values = {}
+        den = 1
+        for exps, value in (coeffs or {}).items():
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(
+                    f"coefficient {value!r} of {tuple(exps)} is not an int or a Fraction"
+                )
+            if value:
+                values[layout.pack(exps)] = value
+                den = lcm(den, value.denominator)
+        # numerators over the lcm of reduced denominators share no factor with it
+        self._layout = layout
+        self._terms = {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+        self._den = den
+
+    @property
+    def nvars(self) -> int:
+        return self._layout.nvars
+
+    @property
+    def max_degree(self) -> int:
+        """Largest total degree a polynomial in nvars variables can reach."""
+        return self._layout.mask
+
+    @property
+    def coeffs(self) -> dict[Monomial, int | Fraction]:
+        """{exponent tuple: int or Fraction}, rebuilt on every access."""
+        unpack = self._layout.unpack
+        den = self._den
+        if den == 1:
+            return {unpack(k): v for k, v in self._terms.items()}
+        out = {}
+        for k, v in self._terms.items():
+            q = Fraction(v, den)
+            out[unpack(k)] = q.numerator if q.denominator == 1 else q
+        return out
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars)
+        return _layout(nvars).zero
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Poly":
@@ -40,101 +183,110 @@ class Poly:
         return cls(nvars, {tuple(exps): value})
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.nvars == other.nvars and self.coeffs == other.coeffs
+        return (
+            self._layout is other._layout
+            and self._den == other._den
+            and self._terms == other._terms
+        )
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.coeffs.items())))
+        return hash((self.nvars, self._den, frozenset(self._terms.items())))
 
     def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k, 0) + v
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        result = Poly.__new__(Poly)
-        result.nvars = self.nvars
-        result.coeffs = out
-        return result
-
-    def __neg__(self) -> "Poly":
-        result = Poly.__new__(Poly)
-        result.nvars = self.nvars
-        result.coeffs = {k: -v for k, v in self.coeffs.items()}
-        return result
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return _sum(self._layout, [self, other])
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return _sum(self._layout, [self, -other])
+
+    def __neg__(self) -> "Poly":
+        return _poly(self._layout, {k: -v for k, v in self._terms.items()}, self._den)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            out: dict[Monomial, object] = {}
-            for ka, va in self.coeffs.items():
-                for kb, vb in other.coeffs.items():
-                    k = tuple(a + b for a, b in zip(ka, kb))
-                    s = out.get(k, 0) + va * vb
-                    if s == 0:
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-            result = Poly.__new__(Poly)
-            result.nvars = self.nvars
-            result.coeffs = out
-            return result
-        return self.scale(other)
+        if not isinstance(other, Poly):
+            return self.scale(other)
+        self._layout.require(other)
+        a, b = self._terms, other._terms
+        if not a or not b:
+            return self._layout.zero
+        if max(a) + max(b) >= self._layout.limit:
+            raise OverflowError(
+                f"product of degrees {self.total_degree()} and {other.total_degree()} "
+                f"exceeds {self._layout.mask} for {self.nvars} variables"
+            )
+        if len(a) < len(b):
+            a, b = b, a
+        # the first row of the product cannot collide with itself
+        rows = iter(b.items())
+        kb, vb = next(rows)
+        out = {ka + kb: va * vb for ka, va in a.items()}
+        get = out.get
+        for kb, vb in rows:
+            for ka, va in a.items():
+                k = ka + kb
+                s = get(k, 0) + va * vb
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        return _poly(self._layout, out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def scale(self, factor) -> "Poly":
-        if factor == 0:
-            return Poly(self.nvars)
-        result = Poly.__new__(Poly)
-        result.nvars = self.nvars
-        result.coeffs = {k: v * factor for k, v in self.coeffs.items()}
-        return result
+        if not isinstance(factor, (int, Fraction)):
+            raise TypeError(f"scale factor {factor!r} is not an int or a Fraction")
+        num, den = factor.numerator, factor.denominator
+        if not num:
+            return self._layout.zero
+        if num == den:  # factor 1
+            return self
+        terms = self._terms
+        if num != 1:
+            terms = {k: v * num for k, v in terms.items()}
+        return _poly(self._layout, terms, self._den * den)
 
     def diff(self, index: int) -> "Poly":
-        out: dict[Monomial, object] = {}
-        for k, v in self.coeffs.items():
-            e = k[index]
-            if e:
-                kk = list(k)
-                kk[index] = e - 1
-                out[tuple(kk)] = v * e
-        result = Poly.__new__(Poly)
-        result.nvars = self.nvars
-        result.coeffs = out
-        return result
+        shift, unit, mask = self._layout.steps[index]
+        out = {
+            k - unit: v * e
+            for k, v in self._terms.items()
+            if (e := (k >> shift) & mask)
+        }
+        return _poly(self._layout, out, self._den)
 
     def total_degree(self) -> int:
         """Largest monomial degree; -1 for the zero polynomial."""
-        return max((sum(k) for k in self.coeffs), default=-1)
+        if not self._terms:
+            return -1
+        return max(self._terms) >> self._layout.degree_shift
 
     def eval(self, point) -> Fraction:
+        unpack = self._layout.unpack
         total = Fraction(0)
-        for k, v in self.coeffs.items():
+        for k, v in self._terms.items():
             term = Fraction(v)
-            for x, e in zip(point, k):
+            for x, e in zip(point, unpack(k)):
                 if e:
                     term *= Fraction(x) ** e
             total += term
-        return total
-
-    def map_coeffs(self, fn) -> "Poly":
-        return Poly(self.nvars, {k: fn(v) for k, v in self.coeffs.items()})
+        return total / self._den
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "Poly(0)"
         parts = []
-        for k in sorted(self.coeffs):
+        for k in sorted(coeffs):
             factors = [f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(k) if e]
             mono = "*".join(factors) if factors else "1"
-            parts.append(f"{self.coeffs[k]}*{mono}")
+            parts.append(f"{coeffs[k]}*{mono}")
         return "Poly(" + " + ".join(parts) + ")"

@@ -58,6 +58,7 @@ class QuantCoefficients:
         return len(self.values) - 1
 
 
+@lru_cache(maxsize=None)
 def quadratic_generator(m: int, direction: int) -> PolyVectorField:
     """The quadratic field generated by the lower-left matrix unit in a direction."""
     h = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]
@@ -136,15 +137,16 @@ def _equations(m, k, lam, mu, degrees):
     for sid, symbol in enumerate(_sample_symbols(m, k, delta, degrees)):
         for direction in range(min(m, 2)):
             family = _residual_family(m, k, lam, mu, symbol, direction)
+            # {beta: {monomial: coefficient}} per level, each view read once
+            views = [
+                {beta: p.coeffs for beta, p in op.coeffs.items()} for op in family
+            ]
             keys = set()
-            for op in family:
-                for beta, p in op.coeffs.items():
-                    keys.update((beta, mono) for mono in p.coeffs)
+            for view in views:
+                for beta, terms in view.items():
+                    keys.update((beta, mono) for mono in terms)
             for beta, mono in keys:
-                row = tuple(
-                    family[level].coeffs.get(beta, Poly.zero(m)).coeffs.get(mono, 0)
-                    for level in range(k + 1)
-                )
+                row = tuple(view.get(beta, {}).get(mono, 0) for view in views)
                 if any(x != 0 for x in row):
                     equations[(sid, direction, beta, mono)] = (row[1:], -row[0])
     return equations

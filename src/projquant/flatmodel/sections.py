@@ -17,11 +17,12 @@ constructors; those are the shapes the eigenvalue oracle exercises.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, permutations, product
 from typing import Mapping
 
-from .poly import Poly
+from .poly import Poly, poly_sum
 
 Index = tuple[int, ...]
 
@@ -226,34 +227,27 @@ def lie_derivative(field: PolyVectorField, section: TensorSection) -> TensorSect
     m = section.rank
     if field.rank != m:
         raise ValueError("field and section rank differ")
-    jac = field.jacobian
+    components = field.components
+    neg_jac = [[-g for g in row] for row in field.jacobian]
     trace_factor = section.weight - section.twist
-    out: dict[Index, Poly] = {}
-
-    def accumulate(index: Index, p: Poly) -> None:
-        if not p:
-            return
-        s = out.get(index)
-        out[index] = p if s is None else s + p
-
-    weighted_div = field.div.scale(trace_factor) if field.div else None
+    weighted_div = field.div.scale(trace_factor)
+    parts: dict[Index, list[Poly]] = defaultdict(list)
     for index, p in section.coeffs.items():
-        transport = Poly.zero(m)
-        for j in range(m):
-            if field.components[j]:
-                transport = transport + field.components[j] * p.diff(j)
-        if weighted_div is not None and weighted_div:
-            transport = transport + weighted_div * p
-        accumulate(index, transport)
+        # transport along the field, and the weight term
+        own = parts[index]
+        own.extend(c * p.diff(j) for j, c in enumerate(components) if c)
+        if weighted_div:
+            own.append(weighted_div * p)
         # slot action scatters from source slot value j to target value i
         for slot in range(section.degree):
             j = index[slot]
             for i in range(m):
-                g = jac[i][j]
+                g = neg_jac[i][j]
                 if g:
                     target = list(index)
                     target[slot] = i
-                    accumulate(tuple(target), (g * p).scale(-1))
+                    parts[tuple(target)].append(g * p)
+    out = {index: poly_sum(m, terms) for index, terms in parts.items()}
     return TensorSection(m, section.degree, section.twist, section.weight, out)
 
 
@@ -265,13 +259,11 @@ def divergence(section: TensorSection) -> TensorSection:
     if section.degree < 1:
         raise ValueError("divergence needs at least one slot")
     m = section.rank
-    out: dict[Index, Poly] = {}
-    for index in product(range(m), repeat=section.degree - 1):
-        acc = Poly.zero(m)
-        for j in range(m):
-            p = section.coeffs.get((j,) + index)
-            if p:
-                acc = acc + p.diff(j)
-        if acc:
-            out[index] = acc
+    coeffs = section.coeffs
+    out = {
+        index: poly_sum(
+            m, [coeffs[(j,) + index].diff(j) for j in range(m) if (j,) + index in coeffs]
+        )
+        for index in product(range(m), repeat=section.degree - 1)
+    }
     return TensorSection(m, section.degree - 1, section.twist, section.weight, out)

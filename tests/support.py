@@ -87,3 +87,58 @@ def random_point(rng, count: int, bound: int = 9):
     out = sorted(values)
     rng.shuffle(out)
     return tuple(out)
+
+
+class RefPoly:
+    """Reference polynomial arithmetic: {exponent tuple: Fraction}, one
+    Fraction per term, zero terms dropped.  This is the straightforward
+    tuple-keyed representation the packed `Poly` kernel replaced; the
+    property tests compare the kernel against it."""
+
+    def __init__(self, nvars: int, coeffs=None):
+        self.nvars = nvars
+        self.coeffs = {k: Fraction(v) for k, v in (coeffs or {}).items() if v != 0}
+
+    def __add__(self, other: "RefPoly") -> "RefPoly":
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out.get(k, 0) + v
+        return RefPoly(self.nvars, out)
+
+    def __neg__(self) -> "RefPoly":
+        return RefPoly(self.nvars, {k: -v for k, v in self.coeffs.items()})
+
+    def __sub__(self, other: "RefPoly") -> "RefPoly":
+        return self + (-other)
+
+    def __mul__(self, other: "RefPoly") -> "RefPoly":
+        out: dict = {}
+        for ka, va in self.coeffs.items():
+            for kb, vb in other.coeffs.items():
+                k = tuple(a + b for a, b in zip(ka, kb))
+                out[k] = out.get(k, 0) + va * vb
+        return RefPoly(self.nvars, out)
+
+    def scale(self, factor) -> "RefPoly":
+        return RefPoly(self.nvars, {k: v * factor for k, v in self.coeffs.items()})
+
+    def diff(self, index: int) -> "RefPoly":
+        out = {}
+        for k, v in self.coeffs.items():
+            if k[index]:
+                kk = list(k)
+                kk[index] -= 1
+                out[tuple(kk)] = v * k[index]
+        return RefPoly(self.nvars, out)
+
+    def total_degree(self) -> int:
+        return max((sum(k) for k in self.coeffs), default=-1)
+
+    def eval(self, point) -> Fraction:
+        total = Fraction(0)
+        for k, v in self.coeffs.items():
+            term = v
+            for x, e in zip(point, k):
+                term *= Fraction(x) ** e
+            total += term
+        return total

@@ -162,3 +162,36 @@ def test_domain_error_exit_one(capsys):
     code, payload = run_json(capsys, "branch", "--m", "2", "--diagram", "1")
     assert code == 1
     assert payload["error"] == "domain error"
+
+
+def test_negative_rationals_after_a_space(capsys):
+    code, payload = run_json(capsys, "eigenvalue", "--m", "2", "--diagram", "1", "--delta", "-1/3")
+    assert code == 0
+    assert payload["delta"] == "-1/3"
+    assert payload == run_json(
+        capsys, "eigenvalue", "--m", "2", "--diagram", "1", "--delta=-1/3"
+    )[1]
+    code, payload = run_json(capsys, "resonances", "--m", "2", "--diagram", "2", "--base", "-1/2")
+    assert code == 0
+    assert payload == ["11/6", "13/6"]
+    code, payload = run_json(
+        capsys, "quantize", "--m", "2", "-k", "2", "--lambda", "-1/2", "--mu", "-1/3"
+    )
+    assert code == 0
+    assert payload == run_json(
+        capsys, "quantize", "--m", "2", "-k", "2", "--lambda=-1/2", "--mu=-1/3"
+    )[1]
+    code, payload = run_json(
+        capsys, "branch", "--m", "3", "--diagram", "1", "--n", "-1", "--delta", "-.5"
+    )
+    assert code == 0
+    assert all(item["label"].endswith("delta=-1/2") for item in payload)
+
+
+def test_rational_flag_without_a_value_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eigenvalue", "--m", "2", "--diagram", "1", "--delta", "--n", "0"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["eigenvalue", "--m", "2", "--diagram", "1", "--delta", "-1/0"])
+    assert exc.value.code == 2

@@ -21,7 +21,7 @@ from projquant.flatmodel import (
     sl_basis,
     symmetric_section,
 )
-from projquant.flatmodel.algebra import killing_form
+from projquant.flatmodel.algebra import killing_form, matrix_trace
 from projquant.flatmodel.linalg import invert_matrix
 
 
@@ -79,12 +79,30 @@ def test_embedding_is_bracket_antihomomorphism(m):
 
 
 def test_killing_dual_basis_pairing_and_dimension():
-    for m, size in ((2, 8), (3, 15)):
+    for m in (2, 3, 4, 5):
         basis, dual = killing_dual_basis(m)
-        assert len(basis) == size == len(dual)
+        assert len(basis) == m * (m + 2) == len(dual)
+        # the dual basis lies in sl(m+1); the identity pairs to zero with it
+        assert all(matrix_trace(ud) == 0 for ud in dual)
         for i, u in enumerate(basis):
             for j, ud in enumerate(dual):
                 assert killing_form(u, ud) == (1 if i == j else 0)
+
+
+def test_killing_dual_closed_form_matches_gram_inversion():
+    # the dual from the inverse of the Gram matrix kappa(u_i, u_j), solved
+    # by elimination, must equal the closed form entry for entry
+    for m in (2, 3, 4, 5):
+        basis, dual = killing_dual_basis(m)
+        p = len(basis)
+        gram = [[killing_form(basis[i], basis[j]) for j in range(p)] for i in range(p)]
+        inv = invert_matrix(gram)
+        for i in range(p):
+            expected = tuple(
+                tuple(sum(inv[t][i] * basis[t][r][c] for t in range(p)) for c in range(m + 1))
+                for r in range(m + 1)
+            )
+            assert dual[i] == expected
 
 
 def test_casimir_basis_independent():

@@ -1,0 +1,142 @@
+"""The packed polynomial kernel against the tuple-keyed Fraction reference."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from projquant.flatmodel import Poly
+
+from support import RefPoly
+
+NVARS = st.integers(min_value=1, max_value=4)
+# mixed denominators, negatives, and zeros (which both sides drop)
+COEFFS = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+SCALARS = st.one_of(
+    st.just(0), st.integers(min_value=-5, max_value=5), COEFFS
+)
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two coefficient maps in the same variables; the second reuses some
+    monomials of the first with negated coefficients, so sums cancel terms
+    and can cancel to zero."""
+    nvars = draw(NVARS)
+    exps = st.tuples(*[st.integers(min_value=0, max_value=4)] * nvars)
+    a = draw(st.dictionaries(exps, COEFFS, max_size=6))
+    b = draw(st.dictionaries(exps, COEFFS, max_size=4))
+    for k in draw(st.lists(st.sampled_from(sorted(a)), unique=True) if a else st.just([])):
+        b[k] = -a[k]
+    return nvars, a, b
+
+
+def _same(poly: Poly, ref: RefPoly) -> None:
+    view = poly.coeffs
+    assert view == ref.coeffs
+    assert all(type(v) in (int, Fraction) and v != 0 for v in view.values())
+    assert poly.nvars == ref.nvars
+    assert poly.total_degree() == ref.total_degree()
+    assert bool(poly) == bool(ref.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs(), SCALARS)
+def test_kernel_matches_reference(pair, factor):
+    nvars, a, b = pair
+    pa, pb = Poly(nvars, a), Poly(nvars, b)
+    ra, rb = RefPoly(nvars, a), RefPoly(nvars, b)
+    _same(pa, ra)
+    _same(pb, rb)
+    _same(pa + pb, ra + rb)
+    _same(pa - pb, ra - rb)
+    _same(pb - pa, rb - ra)
+    _same(pa * pb, ra * rb)
+    _same(pa * (pa - pb), ra * (ra - rb))
+    _same(-pa, -ra)
+    _same(pa.scale(factor), ra.scale(factor))
+    _same(pa * factor, ra.scale(factor))
+    _same(factor * pa, ra.scale(factor))
+    for i in range(nvars):
+        _same(pa.diff(i), ra.diff(i))
+        _same((pa * pb).diff(i), (ra * rb).diff(i))
+    point = tuple(Fraction(i + 2, 3) for i in range(nvars))
+    assert pa.eval(point) == ra.eval(point)
+    assert (pa * pb).eval(point) == (ra * rb).eval(point)
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_pairs())
+def test_equal_polynomials_compare_and_hash_equal(pair):
+    nvars, a, b = pair
+    pa, pb = Poly(nvars, a), Poly(nvars, b)
+    ra, rb = RefPoly(nvars, a), RefPoly(nvars, b)
+    assert (pa == pb) == (ra.coeffs == rb.coeffs)
+    # one value reached by different routes has one representation
+    routes = [
+        pa + pb,
+        pb + pa,
+        (pa.scale(Fraction(1, 3)) + pb.scale(Fraction(1, 3))).scale(3),
+        pa - (-pb),
+        Poly(nvars, (ra + rb).coeffs),
+        Poly(nvars, (pa + pb).coeffs),
+    ]
+    for p in routes:
+        assert p == routes[0]
+        assert hash(p) == hash(routes[0])
+    assert pa - pa == Poly.zero(nvars)
+    assert hash(pa - pa) == hash(Poly.zero(nvars))
+    assert (pa - pa).coeffs == {}
+
+
+def test_coeffs_view_reads_back_the_constructor_input():
+    p = Poly(2, {(1, 0): Fraction(1, 2), (0, 2): Fraction(-3, 4), (1, 1): 2, (0, 0): 0})
+    assert p.coeffs == {(1, 0): Fraction(1, 2), (0, 2): Fraction(-3, 4), (1, 1): 2}
+    assert type(p.coeffs[(1, 1)]) is int
+    assert p.scale(4).coeffs == {(1, 0): 2, (0, 2): -3, (1, 1): 8}
+    assert all(type(v) is int for v in p.scale(4).coeffs.values())
+
+
+def test_inexact_coefficients_raise():
+    with pytest.raises(TypeError):
+        Poly(2, {(1, 0): 0.5})
+    with pytest.raises(TypeError):
+        Poly.constant(2, 1.0)
+    x = Poly.variable(2, 0)
+    with pytest.raises(TypeError):
+        x.scale(0.5)
+    with pytest.raises(TypeError):
+        x * 0.5
+
+
+def test_malformed_monomials_raise():
+    with pytest.raises(ValueError):
+        Poly(2, {(1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        Poly(2, {(-1, 0): 1})
+    with pytest.raises(ValueError):
+        Poly.variable(2, 0) + Poly.variable(3, 0)
+    with pytest.raises(ValueError):
+        Poly.variable(2, 0) * Poly.variable(3, 0)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 4, 7])
+def test_product_past_the_packed_field_raises(nvars):
+    top = Poly.zero(nvars).max_degree
+    rest = (0,) * (nvars - 1)
+    x_first = Poly.variable(nvars, 0)
+    x_last = Poly.variable(nvars, nvars - 1)
+    # up to the limit, products stay exact
+    below = Poly.monomial(nvars, (top - 1,) + rest, 3)
+    assert (below * x_first).coeffs == {(top,) + rest: 3}
+    high_first = Poly.monomial(nvars, (top,) + rest)
+    high_last = Poly.monomial(nvars, rest + (top,))
+    assert high_first.total_degree() == high_last.total_degree() == top
+    # one more degree would carry an exponent into the next field
+    for high in (high_first, high_last):
+        for x in (x_first, x_last):
+            with pytest.raises(OverflowError):
+                high * x
+    with pytest.raises(OverflowError):
+        Poly.monomial(nvars, (top + 1,) + rest)
