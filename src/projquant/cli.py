@@ -3,7 +3,8 @@
 Defaults to JSON on stdout; `--format table` (or the PROJQUANT_FORMAT
 environment variable) switches to an aligned text rendering.  Rationals are
 always serialized as "p/q" strings.  Exit codes: 0 success, 1 domain error
-(for example a resonant weight), 2 usage error.
+(for example a resonant weight, or any unexpected exception, reported by
+its type), 2 usage error.
 """
 
 from __future__ import annotations
@@ -35,15 +36,20 @@ _RATIONAL_FLAGS = frozenset({"--delta", "--base", "--lambda", "--mu"})
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
+def _is_rational_flag(token: str) -> bool:
+    """A rational flag's full name or any abbreviation of it ("--delt")."""
+    return len(token) > 2 and any(flag.startswith(token) for flag in _RATIONAL_FLAGS)
+
+
 def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Write "--delta -1/3" as "--delta=-1/3".
+    """Write "--delta -1/3" as "--delta=-1/3", and "--delt -1/3" as "--delt=-1/3".
 
     argparse reads a token such as -1/3 as an unknown option rather than as
     the value of the preceding flag; only -1 or -0.5 pass as numbers.
     """
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in _RATIONAL_FLAGS and _NEGATIVE_NUMBER.match(token):
+        if out and _is_rational_flag(out[-1]) and _NEGATIVE_NUMBER.match(token):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
@@ -324,15 +330,22 @@ def main(argv=None) -> int:
     if fmt not in ("json", "table"):
         parser.error(f"PROJQUANT_FORMAT must be 'json' or 'table', got {fmt!r}")
     try:
-        payload, code = args.handler(args)
-    except ResonantWeight as exc:
-        _emit(_resonance_diagnostic(exc, args), fmt)
-        return 1
-    except (ValueError, ZeroDivisionError) as exc:
-        _emit({"error": "domain error", "message": str(exc)}, fmt)
-        return 1
+        payload, code = _run(args)
+    except Exception as exc:  # a structured report, never a raw traceback
+        payload = {"error": "internal error", "type": type(exc).__name__, "message": str(exc)}
+        code = 1
     _emit(payload, fmt)
     return code
+
+
+def _run(args) -> tuple[object, int]:
+    """The subcommand's payload and exit code, domain errors included."""
+    try:
+        return args.handler(args)
+    except ResonantWeight as exc:
+        return _resonance_diagnostic(exc, args), 1
+    except (ValueError, ZeroDivisionError) as exc:
+        return {"error": "domain error", "message": str(exc)}, 1
 
 
 if __name__ == "__main__":

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .linalg import det
+
 Rows = tuple[int, ...]
 
 
@@ -176,13 +178,7 @@ def extend_rank_dual(label: IrrepLabel) -> IrrepLabel:
     On diagrams this prepends a copy of the first row; the twist survives
     the double complement unchanged and the weight is zeroed.
     """
-    out = dual(extend_rank(dual(label)))
-    rows = label.diagram.rows
-    expected = canonicalize(
-        (rows[0],) + rows if rows else (), label.rank + 1, label.twist, 0
-    )
-    assert out.diagram == expected.diagram, (out, expected)
-    return out
+    return dual(extend_rank(dual(label)))
 
 
 def dimension(label: IrrepLabel) -> int:
@@ -198,29 +194,7 @@ def dimension(label: IrrepLabel) -> int:
         for j in range(i + 1, label.rank):
             num *= lam[i] - lam[j] + j - i
             den *= j - i
-    assert num % den == 0
     return num // den
-
-
-def _det(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    n = len(matrix)
-    a = [row[:] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] * inv
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return det
 
 
 def schur_eval(diagram: YoungDiagram, point: Sequence[Fraction]) -> Fraction:
@@ -238,8 +212,8 @@ def schur_eval(diagram: YoungDiagram, point: Sequence[Fraction]) -> Fraction:
     if diagram.depth > m:
         return Fraction(0)
     lam = diagram.padded(m)
-    num = _det([[x ** (lam[j] + m - 1 - j) for j in range(m)] for x in xs])
-    den = _det([[x ** (m - 1 - j) for j in range(m)] for x in xs])
+    num = det([[x ** (lam[j] + m - 1 - j) for j in range(m)] for x in xs])
+    den = det([[x ** (m - 1 - j) for j in range(m)] for x in xs])
     return num / den
 
 

@@ -35,10 +35,6 @@ class DPoly:
     def const(cls, value) -> "DPoly":
         return cls((Fraction(value),))
 
-    @classmethod
-    def variable(cls) -> "DPoly":
-        return cls((Fraction(0), Fraction(1)))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -190,22 +186,13 @@ def rational_roots(poly: DPoly) -> list[tuple[Fraction, int]]:
     for cand in sorted(candidates):
         mult = 0
         while work.degree >= 1 and work.eval(cand) == 0:
-            work, rem = divmod(work, DPoly((-cand, Fraction(1))))
-            assert not rem
+            work, _ = divmod(work, DPoly((-cand, Fraction(1))))
             mult += 1
         if mult:
             roots.append((cand, mult))
         if work.degree < 1:
             break
     return roots
-
-
-def linear_factor_roots(poly: DPoly) -> list[Fraction]:
-    """Roots of a polynomial that must split into rational linear factors."""
-    roots = rational_roots(poly)
-    if sum(mult for _, mult in roots) != poly.degree:
-        raise ValueError(f"{poly!r} does not split over the rationals")
-    return sorted(r for r, _ in roots)
 
 
 class RatFunc:
@@ -233,10 +220,6 @@ class RatFunc:
     @classmethod
     def const(cls, value) -> "RatFunc":
         return cls(DPoly.const(value))
-
-    @classmethod
-    def variable(cls) -> "RatFunc":
-        return cls(DPoly.variable())
 
     @staticmethod
     def _coerce(value) -> "RatFunc | None":

@@ -61,19 +61,10 @@ class DiffOperator:
         )
 
     def apply(self, f: Poly) -> Poly:
-        total = Poly.zero(self.rank)
-        for beta, coeff in self.coeffs.items():
-            g = f
-            for i, reps in enumerate(beta):
-                for _ in range(reps):
-                    g = g.diff(i)
-                    if not g:
-                        break
-                if not g:
-                    break
-            if g:
-                total = total + coeff * g
-        return total
+        return poly_sum(
+            self.rank,
+            [coeff * derivative_of_poly(f, beta) for beta, coeff in self.coeffs.items()],
+        )
 
 
 def derivative_of_poly(p: Poly, beta: MultiIndex) -> Poly:

@@ -14,10 +14,10 @@ The same assembly runs with the weight shift delta = mu - lambda kept
 symbolic: every matrix entry is affine in delta by construction (each term
 of the residual passes through exactly one weight-bearing Lie derivative),
 so entries are recovered exactly from assemblies at delta = 0 and delta = 1
-and cross-checked at delta = 2.  Cramer's rule on a full-rank square
-subsystem then yields the coefficients as rational functions of delta whose
-denominators divide the subsystem determinant; the determinant's rational
-roots are the only candidate singular shifts, and each candidate is
+and cross-checked at delta = 2.  The same elimination over rational
+functions of delta then yields the coefficients from a full-rank square
+subsystem; their denominators divide the subsystem determinant, whose
+rational roots are the only candidate singular shifts, and each candidate is
 confirmed against the fixed-weight solver.
 """
 
@@ -28,9 +28,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ..errors import ResonantWeight
+from ..linalg import LinearSystem, det
 from .algebra import proj_embedding, sl_basis
 from .deltapoly import DPoly, RatFunc, rational_roots
-from .linalg import LinearSystem
 from .operators import DiffOperator, compose, contraction_operator, lie_operator
 from .poly import Poly
 from .sections import (
@@ -114,20 +114,19 @@ def _sample_symbols(m: int, k: int, weight, degrees) -> list[TensorSection]:
     return symbols
 
 
-def _residual_family(m, k, lam, mu, symbol, direction):
-    """Operators O_l with residual(c) = sum_l c_l O_l for one quadratic generator."""
+def _residual_family(m, lam, mu, symbol, ops, direction):
+    """Operators O_l with residual(c) = sum_l c_l O_l for one quadratic generator.
+
+    `ops` are the contraction operators of the divergence tower of `symbol`.
+    """
     field = quadratic_generator(m, direction)
     lie_in = lie_operator(field, lam)
     lie_out = lie_operator(field, mu)
-    moved = lie_derivative(field, symbol)
-    tower = divergence_tower(symbol)
-    moved_tower = divergence_tower(moved)
-    family = []
-    for level in range(k + 1):
-        op = contraction_operator(tower[level], lam, mu)
-        moved_op = contraction_operator(moved_tower[level], lam, mu)
-        family.append(compose(lie_out, op) - compose(op, lie_in) - moved_op)
-    return family
+    moved_tower = divergence_tower(lie_derivative(field, symbol))
+    return [
+        compose(lie_out, op) - compose(op, lie_in) - contraction_operator(moved, lam, mu)
+        for op, moved in zip(ops, moved_tower)
+    ]
 
 
 def _equations(m, k, lam, mu, degrees):
@@ -135,8 +134,9 @@ def _equations(m, k, lam, mu, degrees):
     delta = mu - lam
     equations = {}
     for sid, symbol in enumerate(_sample_symbols(m, k, delta, degrees)):
+        ops = [contraction_operator(t, lam, mu) for t in divergence_tower(symbol)]
         for direction in range(min(m, 2)):
-            family = _residual_family(m, k, lam, mu, symbol, direction)
+            family = _residual_family(m, lam, mu, symbol, ops, direction)
             # {beta: {monomial: coefficient}} per level, each view read once
             views = [
                 {beta: p.coeffs for beta, p in op.coeffs.items()} for op in family
@@ -152,7 +152,14 @@ def _equations(m, k, lam, mu, degrees):
     return equations
 
 
-_SOLVE_DEGREES = tuple(range(0, 5))
+def _sample_degrees(k: int) -> range:
+    """Coefficient degrees of the sample symbols for an order-k solve (k >= 1).
+
+    Each degree adds the same few symbols, so spanning k unknowns takes
+    about k degrees: 0..k up to k = 4, then 0..k-1 (a further degree only
+    adds cost).
+    """
+    return range(k + 1 if k < 5 else k)
 
 
 def density_quant_coefficients(m, k, lam, mu) -> QuantCoefficients:
@@ -175,7 +182,7 @@ def _cached_coefficients(m, k, lam, mu) -> QuantCoefficients:
     if k == 0:
         return QuantCoefficients((Fraction(1),))
     delta = mu - lam
-    degrees = tuple(d for d in _SOLVE_DEGREES if d <= max(k, 1))
+    degrees = _sample_degrees(k)
     system = LinearSystem(k)
     for row, rhs in _equations(m, k, lam, mu, degrees).values():
         system.add(list(row), rhs)
@@ -225,11 +232,10 @@ def symbolic_solution(m, k, lam=Fraction(1, 2)):
     lam = Fraction(lam)
     if k == 0:
         return [RatFunc.const(1)], DPoly.const(1)
-    degrees = tuple(d for d in _SOLVE_DEGREES if d <= max(k, 1))
+    degrees = _sample_degrees(k)
     eq0 = _equations(m, k, lam, lam + 0, degrees)
     eq1 = _equations(m, k, lam, lam + 1, degrees)
     eq2 = _equations(m, k, lam, lam + 2, degrees)
-    keys = sorted(set(eq0) | set(eq1) | set(eq2))
 
     def entry(eqs, key, col):
         got = eqs.get(key)
@@ -238,68 +244,30 @@ def symbolic_solution(m, k, lam=Fraction(1, 2)):
         row, rhs = got
         return Fraction(rhs if col == k else row[col])
 
-    matrix: dict = {}
-    rhs_poly: dict = {}
-    for key in keys:
+    # per equation: k coefficients, then the right-hand side
+    rows = {}
+    for key in sorted(set(eq0) | set(eq1) | set(eq2)):
         row = []
         for col in range(k + 1):
-            a = entry(eq0, key, col)
-            b = entry(eq1, key, col)
-            c = entry(eq2, key, col)
-            assert c == 2 * b - a, "matrix entry is not affine in delta"
-            row.append(DPoly((a, b - a)))
-        matrix[key] = row[:k]
-        rhs_poly[key] = row[k]
+            a, b, c = (entry(eqs, key, col) for eqs in (eq0, eq1, eq2))
+            if c != 2 * b - a:
+                raise RuntimeError(f"entry {col} of equation {key} is not affine in delta")
+            row.append(RatFunc(DPoly((a, b - a))))
+        rows[key] = row
     system = LinearSystem(k)
-    selected: list = []
-    for key in keys:
-        rat_row = [RatFunc(p) for p in matrix[key]]
-        if system.add(rat_row, RatFunc(rhs_poly[key])):
-            selected.append(key)
-        if len(selected) == k:
-            break
-    if len(selected) < k:
-        raise RuntimeError("sample family failed to span the quantization system")
-    square = [matrix[key] for key in selected]
-    rhs_col = [rhs_poly[key] for key in selected]
-    det = _poly_det(square)
-    if not det:
-        raise RuntimeError("selected subsystem is identically singular")
-    coeffs = [RatFunc.const(1)]
-    for col in range(k):
-        replaced = [
-            [rhs_col[r] if c == col else square[r][c] for c in range(k)]
-            for r in range(k)
-        ]
-        coeffs.append(RatFunc(_poly_det(replaced), det))
-    # every remaining equation must hold identically in delta
-    for key in keys:
-        total = RatFunc(DPoly())
-        for col in range(k):
-            total = total + RatFunc(matrix[key][col]) * coeffs[col + 1]
-        assert total == RatFunc(rhs_poly[key]), "inconsistent equation off resonance"
-    return coeffs, det
-
-
-def _poly_det(matrix):
-    """Determinant over the polynomial ring by Laplace expansion (tiny sizes)."""
-    n = len(matrix)
-    if n == 0:
-        return DPoly.const(1)
-    if n == 1:
-        return matrix[0][0]
-    total = DPoly()
-    sign = 1
-    for col in range(n):
-        top = matrix[0][col]
-        if top:
-            minor = [
-                [matrix[r][c] for c in range(n) if c != col] for r in range(1, n)
-            ]
-            term = top * _poly_det(minor)
-            total = total + (term if sign > 0 else -term)
-        sign = -sign
-    return total
+    square = []
+    for row in rows.values():
+        if system.add(row[:k], row[k]):
+            square.append(row[:k])
+            if len(square) == k:
+                break
+    solution = system.solve()
+    if solution is None:
+        raise RuntimeError("sample equations do not determine the coefficients in delta")
+    for key, row in rows.items():
+        if sum((x * c for x, c in zip(row, solution)), RatFunc.const(0)) != row[k]:
+            raise RuntimeError(f"equation {key} does not hold identically in delta")
+    return [RatFunc.const(1)] + solution, det(square).num
 
 
 @lru_cache(maxsize=None)
@@ -315,9 +283,9 @@ def solver_singular_deltas(m: int, k: int, lam=Fraction(1, 2)) -> tuple[Fraction
     if k == 0:
         return ()
     lam = Fraction(lam)
-    _, det = symbolic_solution(m, k, lam)
+    _, determinant = symbolic_solution(m, k, lam)
     singular = []
-    for root, _ in sorted(rational_roots(det)):
+    for root, _ in sorted(rational_roots(determinant)):
         try:
             _cached_coefficients(m, k, lam, lam + root)
         except ResonantWeight:
@@ -339,14 +307,6 @@ class EquivarianceReport:
         return self.translations_exact and self.linear_exact and self.quadratic_exact
 
 
-def _lie_scalar(field: PolyVectorField, f: Poly, weight) -> Poly:
-    total = Poly.zero(field.rank)
-    for j in range(field.rank):
-        if field.components[j]:
-            total = total + field.components[j] * f.diff(j)
-    return total + (field.div * f).scale(weight)
-
-
 def verify_equivariance(
     m, k, lam, mu, coefficients, symbols, functions
 ) -> EquivarianceReport:
@@ -363,14 +323,16 @@ def verify_equivariance(
     for h in sl_basis(m):
         grading = generator_grading(h)
         field = proj_embedding(h)
+        lie_in = lie_operator(field, lam)
+        lie_out = lie_operator(field, mu)
         for si, symbol in enumerate(symbols):
             qop = quantization_operator(symbol, coefficients, lam, mu)
             moved = quantization_operator(
                 lie_derivative(field, symbol), coefficients, lam, mu
             )
             for fi, f in enumerate(functions):
-                lhs = _lie_scalar(field, qop.apply(f), mu)
-                rhs = moved.apply(f) + qop.apply(_lie_scalar(field, f, lam))
+                lhs = lie_out.apply(qop.apply(f))
+                rhs = moved.apply(f) + qop.apply(lie_in.apply(f))
                 if lhs != rhs:
                     exact[grading] = False
                     failures.append(f"grading {grading}, symbol {si}, function {fi}")

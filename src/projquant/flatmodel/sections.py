@@ -125,13 +125,6 @@ class TensorSection:
     def max_coefficient_degree(self) -> int:
         return max((p.total_degree() for p in self.coeffs.values()), default=-1)
 
-    def is_symmetric(self) -> bool:
-        for index, p in self.coeffs.items():
-            for perm in permutations(index):
-                if self.component(perm) != p:
-                    return False
-        return True
-
     def _check_compatible(self, other: "TensorSection") -> None:
         if (
             self.rank != other.rank

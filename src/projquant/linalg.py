@@ -1,7 +1,8 @@
 """Exact linear algebra over any field-like scalar (Fraction, rational functions).
 
 Scalars must support +, -, *, /, equality with 0, and truthiness.  Matrices
-are lists of lists; nothing here mutates its inputs.
+are lists of lists; nothing here mutates its inputs.  This is the package's
+one elimination routine: `det` for determinants, `LinearSystem` for solves.
 """
 
 from __future__ import annotations
@@ -9,23 +10,25 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def invert_matrix(matrix):
-    """Exact inverse via Gauss-Jordan elimination; raises on singular input."""
+def det(matrix):
+    """Exact determinant by Gaussian elimination."""
     n = len(matrix)
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(matrix)]
+    a = [row[:] for row in matrix]
+    total = Fraction(1)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            total = -total
+        total *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                factor = a[r][col] * inv
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return total
 
 
 class LinearSystem:

@@ -12,7 +12,6 @@ small enough that the simple algorithm is the right one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .diagrams import IrrepLabel, canonicalize, dual
 
@@ -205,15 +204,13 @@ def littlewood_richardson(a: IrrepLabel, b: IrrepLabel) -> Decomposition:
 def symbol_rep(v1: IrrepLabel, v2: IrrepLabel, k: int) -> Decomposition:
     """Decomposition of v1* (x) v2 (x) S^k into irreducibles.
 
-    Every term carries weight weight(v2) - weight(v1); that invariant is
-    asserted, since downstream resonance checks rely on it.
+    Every term carries weight weight(v2) - weight(v1): the dual negates the
+    weight, the product adds weights and S^k carries none.
     """
     if v1.rank != v2.rank:
         raise ValueError(f"rank mismatch: {v1.rank} vs {v2.rank}")
-    shift = Fraction(v2.weight) - Fraction(v1.weight)
     counts: dict[IrrepLabel, int] = {}
     for pair, mult in littlewood_richardson(dual(v1), v2).terms:
         for term, submult in pieri(pair, k).terms:
-            assert term.weight == shift, (term, shift)
             counts[term] = counts.get(term, 0) + mult * submult
     return Decomposition.from_counts(counts)

@@ -7,6 +7,7 @@ independent of the alternant-ratio evaluation it is used to check.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from projquant import IrrepLabel, canonicalize
 
@@ -50,6 +51,22 @@ def schur_by_tableaux(rows: Rows, point) -> Fraction:
                 term *= xs[v - 1]
         total += term
     return total
+
+
+def closed_form_coefficients(m: int, k: int, lam, mu) -> tuple[Fraction, ...]:
+    """Divergence-ansatz constants from the Lecomte-Ovsienko formula
+
+        c_l = C(k, l) prod_{j=1..l} (lam + (k - j)/(m + 1)) / ((m + 2k - j)/(m + 1) - delta)
+
+    with delta = mu - lam, derived independently of the sampled solve."""
+    delta = Fraction(mu) - Fraction(lam)
+    values = []
+    for level in range(k + 1):
+        c = Fraction(comb(k, level))
+        for j in range(1, level + 1):
+            c *= (lam + Fraction(k - j, m + 1)) / (Fraction(m + 2 * k - j, m + 1) - delta)
+        values.append(c)
+    return tuple(values)
 
 
 def random_diagram(rng, max_size: int, max_depth: int) -> Rows:
@@ -142,3 +159,24 @@ class RefPoly:
                 term *= Fraction(x) ** e
             total += term
         return total
+
+
+def invert_matrix(matrix):
+    """Exact inverse via Gauss-Jordan elimination; raises on singular input.
+
+    The reference the closed-form Killing dual is checked against."""
+    n = len(matrix)
+    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+           for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]

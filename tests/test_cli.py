@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from projquant import IrrepLabel
 from projquant.cli import main
+from support import closed_form_coefficients
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +56,15 @@ def test_quantize_success(capsys):
     )
     assert code == 0
     assert payload == ["1", "1/2"]
+
+
+def test_quantize_high_order(capsys):
+    code, payload = run_json(
+        capsys, "quantize", "--m", "2", "-k", "6", "--lambda", "1/2", "--mu", "1/3"
+    )
+    assert code == 0
+    expected = closed_form_coefficients(2, 6, Fraction(1, 2), Fraction(1, 3))
+    assert payload == [str(c) for c in expected]
 
 
 def test_quantize_resonant_diagnostic(capsys):
@@ -186,6 +197,38 @@ def test_negative_rationals_after_a_space(capsys):
     )
     assert code == 0
     assert all(item["label"].endswith("delta=-1/2") for item in payload)
+
+
+@pytest.mark.parametrize(
+    "argv,flag,value",
+    [
+        (("eigenvalue", "--m", "2", "--diagram", "1"), "--delta", "-1/3"),
+        (("resonances", "--m", "2", "--diagram", "2"), "--base", "-1/2"),
+        (("quantize", "--m", "2", "-k", "2", "--mu", "1/3"), "--lambda", "-1/2"),
+    ],
+    ids=["delta", "base", "lambda"],
+)
+def test_negative_rationals_after_abbreviated_flags(capsys, argv, flag, value):
+    expected = run_json(capsys, *argv, f"{flag}={value}")
+    assert expected[0] == 0
+    # every unambiguous abbreviation argparse accepts, down to "--de" beside "--diagram"
+    shortest = 4 if flag == "--delta" else 3
+    for end in range(shortest, len(flag)):
+        assert run_json(capsys, *argv, flag[:end], value) == expected
+
+
+def test_unexpected_exception_is_reported_as_json(capsys):
+    code, payload = run_json(
+        capsys,
+        "decompose",
+        "--v2", "D=1200; m=2; n=0; delta=0",
+        "--v1", "D=0; m=2; n=0; delta=0",
+        "-k", "0",
+    )
+    assert code == 1
+    assert payload["error"] == "internal error"
+    assert payload["type"] == "RecursionError"
+    assert payload["message"]
 
 
 def test_rational_flag_without_a_value_is_usage_error(capsys):

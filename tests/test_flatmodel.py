@@ -22,7 +22,7 @@ from projquant.flatmodel import (
     symmetric_section,
 )
 from projquant.flatmodel.algebra import killing_form, matrix_trace
-from projquant.flatmodel.linalg import invert_matrix
+from support import invert_matrix
 
 
 def euler_field(m):

@@ -16,6 +16,7 @@ from projquant.flatmodel import (
 )
 from projquant.flatmodel.deltapoly import DPoly, RatFunc, rational_roots
 from projquant.flatmodel.quantize import QuantCoefficients
+from support import closed_form_coefficients
 
 
 def test_order_zero_is_multiplication():
@@ -150,7 +151,19 @@ def test_singular_deltas_match_resonances():
         for k in (1, 2, 3):
             got = set(solver_singular_deltas(m, k))
             assert got == set(resonances(canonicalize((k,), m, 0, 0)))
+    assert set(solver_singular_deltas(2, 6)) == set(resonances(canonicalize((6,), 2, 0, 0)))
     assert solver_singular_deltas(2, 0) == ()
+
+
+@pytest.mark.parametrize("m,k", [(2, 6), (2, 7), (2, 8), (3, 6), (3, 7)])
+def test_high_order_matches_closed_form(m, k):
+    # k >= 6 unknowns need sample symbols of degree past 4
+    lam, mu = Fraction(1, 2), Fraction(1, 3)
+    got = density_quant_coefficients(m, k, lam, mu).values
+    assert got == closed_form_coefficients(m, k, lam, mu)
+    for j in (1, k):
+        with pytest.raises(ResonantWeight):
+            density_quant_coefficients(m, k, lam, lam + Fraction(m + 2 * k - j, m + 1))
 
 
 def test_singular_deltas_stable_across_lambda():
