@@ -23,7 +23,6 @@ from .quantize import (
     quantization_operator,
     quantize_densities,
     solver_singular_deltas,
-    symbolic_solution,
     verify_equivariance,
 )
 from .sections import (
@@ -64,7 +63,6 @@ __all__ = [
     "random_section",
     "sl_basis",
     "solver_singular_deltas",
-    "symbolic_solution",
     "symmetric_section",
     "verify_equivariance",
 ]

@@ -8,17 +8,9 @@ Translation and linear equivariance hold for every choice of the c_l, so
 the defining conditions come from the quadratic generators alone.  Those
 conditions form a linear system in c_1..c_k assembled here from a fixed
 family of monomial symbols; it is solved exactly, and the solve degenerates
-(rank drop or inconsistency) precisely at the resonant weights.
-
-The same assembly runs with the weight shift delta = mu - lambda kept
-symbolic: every matrix entry is affine in delta by construction (each term
-of the residual passes through exactly one weight-bearing Lie derivative),
-so entries are recovered exactly from assemblies at delta = 0 and delta = 1
-and cross-checked at delta = 2.  The same elimination over rational
-functions of delta then yields the coefficients from a full-rank square
-subsystem; their denominators divide the subsystem determinant, whose
-rational roots are the only candidate singular shifts, and each candidate is
-confirmed against the fixed-weight solver.
+(rank drop or inconsistency) precisely at the resonant weights, the zeros
+of the factors (m + 2k - j)/(m + 1) - delta, j = 1..k, of the
+Lecomte-Ovsienko closed form.
 """
 
 from __future__ import annotations
@@ -28,9 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ..errors import ResonantWeight
-from ..linalg import LinearSystem, det
+from ..linalg import LinearSystem
 from .algebra import proj_embedding, sl_basis
-from .deltapoly import DPoly, RatFunc, rational_roots
 from .operators import DiffOperator, compose, contraction_operator, lie_operator
 from .poly import Poly
 from .sections import (
@@ -182,26 +173,30 @@ def _cached_coefficients(m, k, lam, mu) -> QuantCoefficients:
     if k == 0:
         return QuantCoefficients((Fraction(1),))
     delta = mu - lam
+
+    def resonant(problem: str) -> ResonantWeight:
+        # name the closed-form factor (m + 2k - j)/(m + 1) - delta that is zero
+        j = m + 2 * k - delta * (m + 1)
+        if j.denominator == 1 and 1 <= j <= k:
+            cause = f"factor j = {j}, (m+2k-j)/(m+1) = {delta} vanishes"
+        else:
+            cause = f"delta is none of the factors (m+2k-j)/(m+1), j = 1..{k}"
+        return ResonantWeight(f"quantization {problem} at delta = {delta}: {cause}", delta)
+
     degrees = _sample_degrees(k)
     system = LinearSystem(k)
     for row, rhs in _equations(m, k, lam, mu, degrees).values():
         system.add(list(row), rhs)
         if system.inconsistent:
-            raise ResonantWeight(
-                f"quantization system inconsistent at delta = {delta}", delta
-            )
+            raise resonant("system inconsistent")
     solution = system.solve()
     if solution is None:
-        raise ResonantWeight(
-            f"quantization system rank-deficient at delta = {delta}", delta
-        )
+        raise resonant("system rank-deficient")
     # residuals on held-out higher-degree samples must vanish identically
     for row, rhs in _equations(m, k, lam, mu, (max(degrees) + 1,)).values():
         lhs = sum(c * x for c, x in zip(solution, row))
         if lhs != rhs:
-            raise ResonantWeight(
-                f"quantization conditions unsatisfiable at delta = {delta}", delta
-            )
+            raise resonant("conditions unsatisfiable")
     return QuantCoefficients((Fraction(1),) + tuple(solution))
 
 
@@ -221,76 +216,15 @@ def quantize_densities(m, k, lam, mu, symbol: TensorSection):
     return quantization_operator(symbol, coeffs.values, lam, mu), coeffs
 
 
-def symbolic_solution(m, k, lam=Fraction(1, 2)):
-    """Coefficients as rational functions of the weight shift, plus the
-    determinant of the solved subsystem.
-
-    Every equation entry is affine in delta (each residual term passes
-    through exactly one weight-bearing derivative), so entries are exact
-    interpolations of assemblies at delta = 0 and 1, verified at delta = 2.
-    """
-    lam = Fraction(lam)
-    if k == 0:
-        return [RatFunc.const(1)], DPoly.const(1)
-    degrees = _sample_degrees(k)
-    eq0 = _equations(m, k, lam, lam + 0, degrees)
-    eq1 = _equations(m, k, lam, lam + 1, degrees)
-    eq2 = _equations(m, k, lam, lam + 2, degrees)
-
-    def entry(eqs, key, col):
-        got = eqs.get(key)
-        if got is None:
-            return Fraction(0)
-        row, rhs = got
-        return Fraction(rhs if col == k else row[col])
-
-    # per equation: k coefficients, then the right-hand side
-    rows = {}
-    for key in sorted(set(eq0) | set(eq1) | set(eq2)):
-        row = []
-        for col in range(k + 1):
-            a, b, c = (entry(eqs, key, col) for eqs in (eq0, eq1, eq2))
-            if c != 2 * b - a:
-                raise RuntimeError(f"entry {col} of equation {key} is not affine in delta")
-            row.append(RatFunc(DPoly((a, b - a))))
-        rows[key] = row
-    system = LinearSystem(k)
-    square = []
-    for row in rows.values():
-        if system.add(row[:k], row[k]):
-            square.append(row[:k])
-            if len(square) == k:
-                break
-    solution = system.solve()
-    if solution is None:
-        raise RuntimeError("sample equations do not determine the coefficients in delta")
-    for key, row in rows.items():
-        if sum((x * c for x, c in zip(row, solution)), RatFunc.const(0)) != row[k]:
-            raise RuntimeError(f"equation {key} does not hold identically in delta")
-    return [RatFunc.const(1)] + solution, det(square).num
-
-
-@lru_cache(maxsize=None)
 def solver_singular_deltas(m: int, k: int, lam=Fraction(1, 2)) -> tuple[Fraction, ...]:
-    """All rational weight shifts at which the quantization solve degenerates.
+    """All weight shifts at which the quantization solve degenerates, ascending.
 
-    Candidates are the rational roots of the symbolic subsystem
-    determinant; where the determinant is nonzero the subsystem is
-    invertible and the full equation set was checked consistent
-    identically in delta, so no other rational shift can fail.  Each
-    candidate is then confirmed against the fixed-weight solver.
+    They are the zeros of the factors (m + 2k - j)/(m + 1) - delta,
+    j = 1..k, of the Lecomte-Ovsienko closed form.  The set does not depend
+    on `lam`; the tests prove, from the determinant of the sampled system
+    itself, that the solve degenerates exactly there.
     """
-    if k == 0:
-        return ()
-    lam = Fraction(lam)
-    _, determinant = symbolic_solution(m, k, lam)
-    singular = []
-    for root, _ in sorted(rational_roots(determinant)):
-        try:
-            _cached_coefficients(m, k, lam, lam + root)
-        except ResonantWeight:
-            singular.append(root)
-    return tuple(singular)
+    return tuple(sorted(Fraction(m + 2 * k - j, m + 1) for j in range(1, k + 1)))
 
 
 @dataclass(frozen=True)

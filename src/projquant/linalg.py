@@ -1,4 +1,4 @@
-"""Exact linear algebra over any field-like scalar (Fraction, rational functions).
+"""Exact linear algebra over Fraction or any other field-like scalar.
 
 Scalars must support +, -, *, /, equality with 0, and truthiness.  Matrices
 are lists of lists; nothing here mutates its inputs.  This is the package's

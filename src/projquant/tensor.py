@@ -137,39 +137,45 @@ def _lr_fillings(outer: Rows, inner: Rows, content: Rows) -> int:
     cells = [
         (r, c) for r in range(depth) for c in range(outer[r] - 1, inner[r] - 1, -1)
     ]
+    if not cells:
+        return 1
     p = len(content)
     remaining = list(content)
     seen = [0] * (p + 1)
-    grid: dict[tuple[int, int], int] = {}
-    count = 0
+    # the cells whose letters bound each cell's letter from above (right
+    # neighbour) and from below (neighbour above), -1 for an inner-shape or
+    # outside cell, which imposes no constraint
+    position = {cell: i for i, cell in enumerate(cells)}
+    right_of = [position.get((r, c + 1), -1) for r, c in cells]
+    above_of = [position.get((r - 1, c), -1) for r, c in cells]
+    letters = [0] * len(cells)
+    last = len(cells) - 1
 
-    def fill(idx: int) -> None:
-        nonlocal count
-        if idx == len(cells):
+    # depth-first search without recursion, since a filling may hold more
+    # boxes than the interpreter's recursion limit: letters[:idx] is the stack
+    # of placed letters, and the last cell's letter is counted, never placed
+    count = 0
+    idx = 0
+    v = 0  # the letter last tried in cells[idx]
+    while idx >= 0:
+        high = letters[right_of[idx]] if right_of[idx] >= 0 else p
+        v = max(v, letters[above_of[idx]] if above_of[idx] >= 0 else 0) + 1
+        while v <= high and not (remaining[v - 1] and (v == 1 or seen[v] < seen[v - 1])):
+            v += 1
+        if v > high:
+            idx -= 1
+            if idx >= 0:
+                v = letters[idx]
+                remaining[v - 1] += 1
+                seen[v] -= 1
+        elif idx == last:
             count += 1
-            return
-        r, c = cells[idx]
-        right = grid.get((r, c + 1))
-        # an inner-shape cell above imposes no constraint; grid holds skew cells only
-        above = grid.get((r - 1, c)) if r > 0 else None
-        for v in range(1, p + 1):
-            if remaining[v - 1] == 0:
-                continue
-            if right is not None and v > right:
-                continue
-            if above is not None and v <= above:
-                continue
-            if v > 1 and seen[v] + 1 > seen[v - 1]:
-                continue
-            grid[(r, c)] = v
+        else:
+            letters[idx] = v
             remaining[v - 1] -= 1
             seen[v] += 1
-            fill(idx + 1)
-            seen[v] -= 1
-            remaining[v - 1] += 1
-            del grid[(r, c)]
-
-    fill(0)
+            idx += 1
+            v = 0
     return count
 
 

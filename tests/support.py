@@ -7,9 +7,15 @@ independent of the alternant-ratio evaluation it is used to check.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
-from projquant import IrrepLabel, canonicalize
+import pytest
+from hypothesis import strategies as st
+
+from projquant import IrrepLabel, ResonantWeight, canonicalize
+from projquant.flatmodel import density_quant_coefficients
+from projquant.flatmodel.quantize import _equations, _sample_degrees
+from projquant.linalg import LinearSystem, det
 
 Rows = tuple[int, ...]
 
@@ -69,6 +75,54 @@ def closed_form_coefficients(m: int, k: int, lam, mu) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
+def assert_solve_singular_exactly_on_formula(m: int, k: int, lam) -> tuple[Fraction, ...]:
+    """Prove from the sampled system itself that the order-k solve at rank m
+    and weight lam degenerates exactly at delta = (m + 2k - j)/(m + 1),
+    j = 1..k, and return those shifts in ascending order.
+
+    Every entry of the equations is affine in delta by construction (each
+    residual term passes through one weight-bearing Lie derivative); the
+    assemblies at delta = 0, 1, 2 check it.  The determinant D of k
+    independent rows of the solve then has degree <= k, so agreeing with
+    C * prod_j (delta - r_j) at k + 2 points makes it that polynomial.  For
+    any other row, residual * D has degree <= k + 1, and the solve succeeding
+    at the same k + 2 points makes it vanish identically: off the roots every
+    equation, held-out ones included, holds.  At each root the solve must fail.
+    """
+    lam = Fraction(lam)
+    roots = [Fraction(m + 2 * k - j, m + 1) for j in range(1, k + 1)]
+    degrees = _sample_degrees(k)
+    # part 0 holds the rows the solve eliminates, part 1 its held-out rows
+    rows = {}  # (part, key) -> (entries at delta = 0, slope in delta), rhs last
+    for part, degs in enumerate((degrees, (max(degrees) + 1,))):
+        eqs = [_equations(m, k, lam, lam + d, degs) for d in (0, 1, 2)]
+        for key in set().union(*eqs):
+            a, b, c = ([*e[key][0], e[key][1]] if key in e else [0] * (k + 1) for e in eqs)
+            assert all(z - y == y - x for x, y, z in zip(a, b, c)), f"{key} not affine"
+            rows[(part, key)] = (a, [y - x for x, y in zip(a, b)])
+
+    def row_at(delta, key):
+        const, slope = rows[key]
+        return [x + delta * s for x, s in zip(const[:k], slope[:k])]
+
+    points = [Fraction(-1 - i, 3) for i in range(k + 2)]  # below every root
+    system = LinearSystem(k)
+    square = [
+        key for key in sorted(rows) if key[0] == 0 and system.add(row_at(points[0], key), 0)
+    ]
+    assert len(square) == k, "the solve's own rows do not determine the coefficients"
+    ratios = {
+        det([row_at(d, key) for key in square]) / prod(d - r for r in roots) for d in points
+    }
+    assert len(ratios) == 1 and 0 not in ratios, ratios
+    for d in points:
+        density_quant_coefficients(m, k, lam, lam + d)
+    for r in roots:
+        with pytest.raises(ResonantWeight):
+            density_quant_coefficients(m, k, lam, lam + r)
+    return tuple(sorted(roots))
+
+
 def random_diagram(rng, max_size: int, max_depth: int) -> Rows:
     rows = []
     budget = rng.randint(0, max_size)
@@ -90,6 +144,25 @@ def random_canonical_label(
 ) -> IrrepLabel:
     rows = random_diagram(rng, max_size, rank - 1)
     return canonicalize(rows, rank, rng.choice(twists), rng.choice(weights))
+
+
+@st.composite
+def labels(draw, rank=None) -> IrrepLabel:
+    """Hypothesis strategy: canonical labels built from rows up to `rank` deep,
+    so full columns fold into the twist on the way."""
+    if rank is None:
+        rank = draw(st.integers(min_value=2, max_value=5))
+    rows = sorted(draw(st.lists(st.integers(0, 3), max_size=rank)), reverse=True)
+    twist = draw(st.integers(min_value=-3, max_value=3))
+    weight = draw(st.fractions(min_value=-3, max_value=3, max_denominator=7))
+    return canonicalize(rows, rank, twist, weight)
+
+
+@st.composite
+def label_pairs(draw):
+    """Hypothesis strategy: two canonical labels of one rank."""
+    rank = draw(st.integers(min_value=2, max_value=4))
+    return draw(labels(rank)), draw(labels(rank))
 
 
 def random_point(rng, count: int, bound: int = 9):

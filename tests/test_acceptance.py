@@ -35,7 +35,12 @@ from projquant.flatmodel import (
     solver_singular_deltas,
     verify_equivariance,
 )
-from support import random_canonical_label, random_diagram, random_point
+from support import (
+    assert_solve_singular_exactly_on_formula,
+    random_canonical_label,
+    random_diagram,
+    random_point,
+)
 
 
 @contextmanager
@@ -87,11 +92,11 @@ def test_criterion_2_resonance_closed_form_vs_generic():
 
 def test_criterion_3_resonance_vs_solver():
     with criterion(3, "quantization solver degenerates exactly on the resonance set"):
-        for m in (2, 3, 4):
-            for k in (1, 2, 3, 4):
-                expected = {Fraction(m + 2 * k - q, m + 1) for q in range(1, k + 1)}
-                assert resonances(canonicalize((k,), m, 0, 0)) == expected
-                assert set(solver_singular_deltas(m, k)) == expected
+        # the singular set comes from the determinant of the solve's own equations
+        for m, k in [(m, k) for m in (2, 3, 4) for k in (1, 2, 3, 4)] + [(2, 6)]:
+            proven = assert_solve_singular_exactly_on_formula(m, k, Fraction(1, 2))
+            assert resonances(canonicalize((k,), m, 0, 0)) == set(proven)
+            assert solver_singular_deltas(m, k) == proven
 
 
 def test_criterion_4_zero_never_resonant_for_nonnegative_twist():

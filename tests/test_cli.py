@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from projquant import IrrepLabel
+import projquant
+from projquant import IrrepLabel, cli
 from projquant.cli import main
 from support import closed_form_coefficients
 
@@ -76,6 +81,10 @@ def test_quantize_resonant_diagnostic(capsys):
     assert payload["delta"] == "1"
     assert payload["singular_deltas"] == ["1"]
     assert payload["offending_denominator"] == "delta - (1)"
+    assert payload["message"] == (
+        "quantization system rank-deficient at delta = 1: "
+        "factor j = 1, (m+2k-j)/(m+1) = 1 vanishes"
+    )
 
 
 def test_casimir_check(capsys):
@@ -217,7 +226,11 @@ def test_negative_rationals_after_abbreviated_flags(capsys, argv, flag, value):
         assert run_json(capsys, *argv, flag[:end], value) == expected
 
 
-def test_unexpected_exception_is_reported_as_json(capsys):
+def test_unexpected_exception_is_reported_as_json(capsys, monkeypatch):
+    def overflow(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "_cmd_decompose", overflow)
     code, payload = run_json(
         capsys,
         "decompose",
@@ -229,6 +242,53 @@ def test_unexpected_exception_is_reported_as_json(capsys):
     assert payload["error"] == "internal error"
     assert payload["type"] == "RecursionError"
     assert payload["message"]
+
+
+def test_decompose_with_more_boxes_than_the_recursion_limit(capsys):
+    assert sys.getrecursionlimit() < 1200
+    code, payload = run_json(
+        capsys,
+        "decompose",
+        "--v2", "D=1200; m=2; n=0; delta=0",
+        "--v1", "D=0; m=2; n=0; delta=0",
+        "-k", "0",
+    )
+    assert code == 0
+    assert payload == [
+        {
+            "label": "D=1200; m=2; n=0; delta=0",
+            "diagram": "1200",
+            "n": 0,
+            "delta": "0",
+            "multiplicity": 1,
+            "dim": 1201,
+        }
+    ]
+
+
+def test_optimized_interpreter_prints_the_same_bytes():
+    # python -O strips assert statements; no invariant the output relies on may be one
+    env = dict(os.environ, PYTHONPATH=str(Path(projquant.__file__).parents[1]))
+    calls = [
+        (["quantize", "--m", "3", "-k", "3", "--lambda", "1/3", "--mu", "1/7"], 0),
+        (["quantize", "--m", "3", "-k", "3", "--lambda", "0", "--mu", "7/4"], 1),
+        (
+            ["decompose", "--v1", "D=2,1; m=3; n=1; delta=1/3",
+             "--v2", "D=3,1; m=3; n=0; delta=1/2", "-k", "2"],
+            0,
+        ),
+    ]  # fmt: skip
+    for argv, code in calls:
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "projquant.cli", *argv],
+                capture_output=True, env=env, timeout=120,
+            )
+            for flags in ([], ["-O"])
+        ]
+        assert [run.returncode for run in runs] == [code, code]
+        assert runs[0].stdout and runs[0].stdout == runs[1].stdout
+        assert runs[1].stderr == b""
 
 
 def test_rational_flag_without_a_value_is_usage_error(capsys):

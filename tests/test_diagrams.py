@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from projquant import (
     IrrepLabel,
@@ -14,7 +15,7 @@ from projquant import (
     extend_rank_dual,
     schur_eval,
 )
-from support import random_canonical_label, random_point, schur_by_tableaux
+from support import labels, random_canonical_label, random_point, schur_by_tableaux
 
 
 def test_diagram_normalization_and_text():
@@ -55,6 +56,18 @@ def test_label_text_round_trip():
     assert IrrepLabel.parse(str(trivial)) == trivial
 
 
+@settings(max_examples=100, deadline=None)
+@given(labels())
+def test_label_parse_inverts_str(label):
+    assert IrrepLabel.parse(str(label)) == label
+
+
+@settings(max_examples=100, deadline=None)
+@given(labels())
+def test_canonicalize_is_idempotent(label):
+    assert canonicalize(label.diagram.rows, label.rank, label.twist, label.weight) == label
+
+
 def test_label_requires_canonical_depth():
     with pytest.raises(ValueError):
         IrrepLabel(YoungDiagram((1, 1)), 2)
@@ -81,12 +94,10 @@ def test_dual_character_oracle():
         assert char_eval(dual(label), point) == char_eval(label, inverted)
 
 
-def test_dual_is_involution():
-    rng = random.Random(7)
-    for _ in range(50):
-        rank = rng.choice((2, 3, 4))
-        label = random_canonical_label(rng, rank)
-        assert dual(dual(label)) == label
+@settings(max_examples=100, deadline=None)
+@given(labels())
+def test_dual_is_involution(label):
+    assert dual(dual(label)) == label
 
 
 def test_extend_rank_examples():

@@ -11,12 +11,11 @@ from projquant.flatmodel import (
     random_polynomial,
     random_section,
     solver_singular_deltas,
-    symbolic_solution,
     verify_equivariance,
 )
-from projquant.flatmodel.deltapoly import DPoly, RatFunc, rational_roots
+from projquant.flatmodel import quantize
 from projquant.flatmodel.quantize import QuantCoefficients
-from support import closed_form_coefficients
+from support import assert_solve_singular_exactly_on_formula, closed_form_coefficients
 
 
 def test_order_zero_is_multiplication():
@@ -134,18 +133,6 @@ def test_equivariance_fails_only_in_quadratic_direction_for_wrong_constants():
     assert not report.quadratic_exact
 
 
-@pytest.mark.parametrize("m,k", [(2, 1), (2, 2), (3, 2)])
-def test_symbolic_matches_numeric(m, k):
-    lam = Fraction(1, 2)
-    coeffs, det = symbolic_solution(m, k, lam)
-    singular = set(solver_singular_deltas(m, k))
-    for delta in (Fraction(0), Fraction(1, 5), Fraction(-2, 3)):
-        assert delta not in singular
-        numeric = density_quant_coefficients(m, k, lam, lam + delta)
-        for level in range(k + 1):
-            assert coeffs[level].eval(delta) == numeric.values[level]
-
-
 def test_singular_deltas_match_resonances():
     for m in (2, 3):
         for k in (1, 2, 3):
@@ -167,17 +154,24 @@ def test_high_order_matches_closed_form(m, k):
 
 
 def test_singular_deltas_stable_across_lambda():
-    for m, k in ((2, 2), (3, 1)):
-        default = solver_singular_deltas(m, k)
-        other = solver_singular_deltas(m, k, Fraction(2, 7))
-        assert default == other
+    for lam in (Fraction(1, 2), Fraction(2, 7)):
+        for m, k in ((2, 2), (3, 1), (3, 3)):
+            proven = assert_solve_singular_exactly_on_formula(m, k, lam)
+            assert solver_singular_deltas(m, k, lam) == proven
 
 
-def test_rational_root_helpers():
-    # (delta - 1)(delta - 5/3) expanded
-    poly = DPoly((Fraction(5, 3), Fraction(-8, 3), Fraction(1)))
-    assert dict(rational_roots(poly)) == {Fraction(1): 1, Fraction(5, 3): 1}
-    r = RatFunc(DPoly((Fraction(1),)), poly)
-    assert r.eval(0) == Fraction(3, 5)
-    with pytest.raises(ZeroDivisionError):
-        r.eval(1)
+def test_resonant_message_names_the_vanishing_factor(monkeypatch):
+    with pytest.raises(ResonantWeight) as exc:
+        density_quant_coefficients(3, 5, Fraction(0), Fraction(11, 4))
+    assert str(exc.value) == (
+        "quantization system inconsistent at delta = 11/4: "
+        "factor j = 2, (m+2k-j)/(m+1) = 11/4 vanishes"
+    )
+    assert exc.value.delta == Fraction(11, 4)
+    # too few sample symbols fail at a shift no factor explains, and say so
+    monkeypatch.setattr(quantize, "_sample_degrees", lambda k: range(5))
+    with pytest.raises(ResonantWeight) as exc:
+        density_quant_coefficients(2, 6, Fraction(3, 11), Fraction(1, 13))
+    assert str(exc.value).endswith(
+        "delta is none of the factors (m+2k-j)/(m+1), j = 1..6"
+    )

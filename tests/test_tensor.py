@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from projquant import (
     canonicalize,
@@ -12,7 +13,7 @@ from projquant import (
     pieri,
     symbol_rep,
 )
-from support import random_canonical_label, random_point
+from support import label_pairs, random_canonical_label, random_point
 
 
 def test_pieri_trivial_base():
@@ -119,13 +120,11 @@ def test_lr_character_oracle():
             assert product == total
 
 
-def test_lr_commutative():
-    rng = random.Random(13)
-    for _ in range(15):
-        rank = rng.choice((2, 3, 4))
-        a = random_canonical_label(rng, rank, max_size=4)
-        b = random_canonical_label(rng, rank, max_size=4)
-        assert littlewood_richardson(a, b).terms == littlewood_richardson(b, a).terms
+@settings(max_examples=100, deadline=None)
+@given(label_pairs())
+def test_lr_commutative(pair):
+    a, b = pair
+    assert littlewood_richardson(a, b).terms == littlewood_richardson(b, a).terms
 
 
 def test_lr_rank_mismatch():
@@ -143,17 +142,15 @@ def test_pieri_agrees_with_lr_row():
         assert pieri(label, k).terms == littlewood_richardson(label, row).terms
 
 
-def test_lr_dimension_conservation():
-    rng = random.Random(19)
-    for _ in range(15):
-        rank = rng.choice((2, 3, 4))
-        a = random_canonical_label(rng, rank, max_size=4)
-        b = random_canonical_label(rng, rank, max_size=4)
-        total = sum(
-            mult * dimension(label)
-            for label, mult in littlewood_richardson(a, b).terms
-        )
-        assert total == dimension(a) * dimension(b)
+@settings(max_examples=100, deadline=None)
+@given(label_pairs())
+def test_lr_dimension_conservation(pair):
+    a, b = pair
+    total = sum(
+        mult * dimension(label)
+        for label, mult in littlewood_richardson(a, b).terms
+    )
+    assert total == dimension(a) * dimension(b)
 
 
 def test_symbol_rep_densities():
