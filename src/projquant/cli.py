@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import re
 import sys
 from fractions import Fraction
@@ -21,14 +20,9 @@ from .branching import branch_labels, component
 from .casimir import eigenvalue, resonances
 from .diagrams import IrrepLabel, YoungDiagram, canonicalize, dimension
 from .errors import ResonantWeight
-from .flatmodel import (
-    classical_casimir,
-    density_quant_coefficients,
-    lift_plan,
-    random_section,
-    solver_singular_deltas,
-)
-from .tensor import symbol_rep
+
+# Each handler imports its own heavy layer (tensor, the flat-model engine), so
+# a subcommand compiles only the modules it calls.
 
 
 # flags whose value may be a negative rational such as -1/3
@@ -75,6 +69,19 @@ def _label(text: str) -> IrrepLabel:
         return IrrepLabel.parse(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _int_at_least(low: int):
+    """Parser of an int flag whose values below `low` are usage errors."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+    return parse
 
 
 def _fmt(value) -> str:
@@ -129,6 +136,8 @@ def _cmd_branch(args) -> tuple[list, int]:
 
 
 def _cmd_decompose(args) -> tuple[list, int]:
+    from .tensor import symbol_rep
+
     decomposition = symbol_rep(args.v1, args.v2, args.k)
     rows = []
     for label, mult in decomposition.terms:
@@ -140,19 +149,28 @@ def _cmd_decompose(args) -> tuple[list, int]:
 
 
 def _cmd_quantize(args) -> tuple[list, int]:
+    from .flatmodel.quantize import density_quant_coefficients
+
     coeffs = density_quant_coefficients(args.m, args.k, args.lam, args.mu)
     return [_fmt(c) for c in coeffs.values], 0
 
 
 def _cmd_casimir_check(args) -> tuple[dict, int]:
+    import random
+
+    from .flatmodel.algebra import classical_casimir
+    from .flatmodel.sections import random_section
+
     label = canonicalize(args.diagram.rows, args.m, args.n, args.delta)
     alpha = eigenvalue(label)(label.weight)
     rng = random.Random(args.seed)
     matches = True
     for _ in range(args.trials):
-        section = random_section(
-            label.rank, label.diagram.rows, label.twist, label.weight, args.max_degree, rng
-        )
+        section = None
+        while not section:  # the zero section satisfies every eigen-equation: draw again
+            section = random_section(
+                label.rank, label.diagram.rows, label.twist, label.weight, args.max_degree, rng
+            )
         if classical_casimir(section) != section.scale(alpha):
             matches = False
             break
@@ -164,6 +182,8 @@ def _cmd_casimir_check(args) -> tuple[dict, int]:
 
 
 def _cmd_lift_plan(args) -> tuple[dict, int]:
+    from .flatmodel.liftplan import lift_plan
+
     label = canonicalize(args.diagram.rows, args.m, args.n, args.delta)
     plan = lift_plan(label, args.delta)
     child_rank = label.rank
@@ -239,9 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("casimir-check", help="verify the eigenvalue on random sections")
     add_label_flags(p)
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_int_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=_int_at_least(0), default=3)
     p.set_defaults(handler=_cmd_casimir_check)
 
     p = sub.add_parser("lift-plan", help="eigenvector lift DAG with exact scalars")
@@ -312,6 +332,8 @@ def _resonance_diagnostic(exc: ResonantWeight, args) -> dict:
     m = getattr(args, "m", None)
     k = getattr(args, "k", None)
     if m is not None and k is not None:
+        from .flatmodel.quantize import solver_singular_deltas
+
         singular = solver_singular_deltas(m, k)
         payload["singular_deltas"] = [_fmt(v) for v in singular]
         if exc.delta is not None and exc.delta in singular:

@@ -147,7 +147,7 @@ def canonicalize(
     diagram = YoungDiagram(tuple(rows))
     if diagram.depth > rank:
         raise ValueError(f"diagram depth {diagram.depth} exceeds rank {rank}")
-    if diagram.depth == rank:
+    if diagram.rows and diagram.depth == rank:
         strip = diagram.rows[-1]
         diagram = YoungDiagram(tuple(r - strip for r in diagram.rows))
         twist += strip

@@ -52,17 +52,19 @@ def lift_plan(label: IrrepLabel, delta: Fraction) -> LiftPlan:
     base = alpha[BranchLabel()]
     nodes = []
     for q in labels:
+        child = component(parent, q)
         if q.norm == 0:
-            nodes.append(LiftNode(q, component(parent, q), None))
+            nodes.append(LiftNode(q, child, None))
             continue
         gap = base - alpha[q]
         if gap == 0:
             raise ResonantWeight(
-                f"eigenvalue collision at removal {q} for delta = {delta}",
+                f"eigenvalue collision at removal q = {q} for delta = {delta}: component "
+                f"({child}) shares the eigenvalue alpha = {base} of the base component",
                 delta,
                 detail=str(q),
             )
-        nodes.append(LiftNode(q, component(parent, q), Fraction(-2) / gap))
+        nodes.append(LiftNode(q, child, Fraction(-2) / gap))
     label_set = set(labels)
     edges = []
     for q in labels:

@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import projquant
-from projquant import IrrepLabel, cli
+from projquant import IrrepLabel, cli, eigenvalue
 from projquant.cli import main
 from support import closed_form_coefficients
 
@@ -99,6 +104,23 @@ def test_casimir_check(capsys):
     assert payload["trials"] == 2
 
 
+@pytest.mark.parametrize("seed", [9, 11, 12, 25])
+def test_casimir_check_redraws_the_zero_section(capsys, monkeypatch, seed):
+    # these seeds draw the zero section first, and it satisfies any eigenvalue
+    def wrong_eigenvalue(label):
+        poly = eigenvalue(label)
+        return replace(poly, c0=poly.c0 + 1)
+
+    monkeypatch.setattr(cli, "eigenvalue", wrong_eigenvalue)
+    code, payload = run_json(
+        capsys,
+        "casimir-check",
+        "--m", "3", "--diagram", "0", "--max-degree", "0", "--trials", "1", "--seed", str(seed),
+    )  # fmt: skip
+    assert code == 1
+    assert payload["matches"] is False
+
+
 def test_lift_plan_payload(capsys):
     code, payload = run_json(
         capsys, "lift-plan", "--m", "2", "--diagram", "2", "--n", "0", "--delta", "0"
@@ -116,6 +138,10 @@ def test_lift_plan_resonant_exit(capsys):
     )
     assert code == 1
     assert payload["error"] == "resonant weight"
+    assert payload["message"] == (
+        "eigenvalue collision at removal q = 1 for delta = 5/3: component "
+        "(D=1; m=2; n=0; delta=0) shares the eigenvalue alpha = 4/9 of the base component"
+    )
 
 
 def test_decompose_round_trip(capsys):
@@ -175,6 +201,11 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    # a casimir-check that would check nothing
+    for flags in (["--trials", "0"], ["--trials", "-2"], ["--max-degree", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["casimir-check", "--m", "3", "--diagram", "0", *flags])
+        assert exc.value.code == 2
 
 
 def test_domain_error_exit_one(capsys):
@@ -298,3 +329,118 @@ def test_rational_flag_without_a_value_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eigenvalue", "--m", "2", "--diagram", "1", "--delta", "-1/0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,code,needed,absent",
+    [
+        (["resonances", "--m", "3", "--diagram", "2,1"], 0, "casimir", ("flatmodel", "tensor")),
+        (["eigenvalue", "--m", "3", "--diagram", "2,1", "--delta", "1/3"], 0, "casimir",
+         ("flatmodel", "tensor")),
+        (["branch", "--m", "3", "--diagram", "2,1"], 0, "branching", ("flatmodel", "tensor")),
+        (["decompose", "--v1", "D=1; m=2; n=0; delta=0", "--v2", "D=1; m=2; n=0; delta=0",
+          "-k", "1"], 0, "tensor", ("flatmodel",)),
+        (["quantize", "--m", "2", "-k", "1", "--lambda", "0", "--mu", "1"], 1,
+         "flatmodel.quantize", ("flatmodel.liftplan", "tensor")),
+        (["casimir-check", "--m", "3", "--diagram", "1", "--trials", "1", "--max-degree", "1"], 0,
+         "flatmodel.algebra", ("flatmodel.quantize", "flatmodel.operators", "flatmodel.liftplan")),
+        (["lift-plan", "--m", "2", "--diagram", "2", "--delta", "0"], 0, "flatmodel.liftplan",
+         ("flatmodel.poly", "flatmodel.sections", "flatmodel.algebra", "flatmodel.quantize")),
+        (["lift-plan", "--m", "2", "--diagram", "2", "--delta", "5/3"], 1, "flatmodel.liftplan",
+         ("flatmodel.poly", "flatmodel.sections", "flatmodel.algebra", "flatmodel.quantize")),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)  # fmt: skip
+def test_subcommand_imports_only_its_layers(argv, code, needed, absent):
+    env = dict(os.environ, PYTHONPATH=str(Path(projquant.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "projquant.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )  # fmt: skip
+    assert run.returncode == code
+    loaded = {
+        line.rsplit("|", 1)[1].strip()
+        for line in run.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert f"projquant.{needed}" in loaded
+    assert not {name for name in loaded if name.startswith(tuple(f"projquant.{a}" for a in absent))}
+
+
+_SUBCOMMAND_FLAGS = {
+    "eigenvalue": ("--m", "--diagram", "--n", "--delta"),
+    "resonances": ("--m", "--diagram", "--n", "--base"),
+    "branch": ("--m", "--diagram", "--n", "--delta"),
+    "decompose": ("--v1", "--v2", "-k"),
+    "quantize": ("--m", "-k", "--lambda", "--mu"),
+    "casimir-check": ("--m", "--diagram", "--n", "--delta", "--trials", "--seed", "--max-degree"),
+    "lift-plan": ("--m", "--diagram", "--n", "--delta"),
+}
+_JUNK = st.sampled_from(
+    ["", "x", "-", "--", "1/0", "0.5.1", "1,,2", "nan", "1,2", "-k", "--m", "D=1"]
+)
+
+
+def _ints(low: int, high: int):
+    return st.integers(low, high).map(str)
+
+
+_RATIONALS = st.fractions(-3, 3, max_denominator=7).map(str)
+_DIAGRAMS = (
+    st.lists(st.integers(1, 4), max_size=4)
+    .filter(lambda rows: sum(rows) <= 4)
+    .map(lambda rows: ",".join(map(str, sorted(rows, reverse=True))) or "0")
+)
+_LABELS = st.builds(
+    lambda m, rows, n, delta: f"D={rows}; m={m}; n={n}; delta={delta}",
+    _ints(2, 4), st.sampled_from(["0", "1", "2", "1,1", "2,1", "3"]), _ints(-2, 2), _RATIONALS,
+)  # fmt: skip
+_VALUES = {
+    "--m": _ints(-1, 4),
+    "--diagram": _DIAGRAMS,
+    "--n": _ints(-2, 2),
+    "--delta": _RATIONALS,
+    "--base": _RATIONALS,
+    "--lambda": _RATIONALS,
+    "--mu": _RATIONALS,
+    "-k": _ints(-1, 3),
+    "--v1": _LABELS,
+    "--v2": _LABELS,
+    "--trials": _ints(0, 2),
+    "--seed": _ints(0, 30),
+    "--max-degree": _ints(-1, 2),
+}
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    """A subcommand and its flags: each flag is left out, given junk, or followed
+    by a stray token one time in forty, and otherwise takes a small value, in
+    or out of range."""
+    sub = draw(st.sampled_from(sorted(_SUBCOMMAND_FLAGS)))
+    argv = [sub]
+    for flag in _SUBCOMMAND_FLAGS[sub]:
+        fault = draw(st.integers(0, 39))
+        if fault != 1:
+            argv += [flag, draw(_JUNK if fault == 2 else _VALUES[flag])]
+        if fault == 3:
+            argv.append(draw(_JUNK))
+    return argv
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=cli_argv())
+def test_fuzzed_argv_exits_zero_one_or_two(monkeypatch, argv):
+    monkeypatch.delenv("PROJQUANT_FORMAT", raising=False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            return
+    assert code in (0, 1)
+    payload = json.loads(out.getvalue())
+    assert code == 0 or payload["error"] in ("domain error", "resonant weight")

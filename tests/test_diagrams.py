@@ -46,6 +46,8 @@ def test_canonicalize_examples():
         canonicalize((1, 2), 3, 0, 0)
     with pytest.raises(ValueError):
         canonicalize((1, 1, 1, 1), 3, 0, 0)
+    with pytest.raises(ValueError):
+        canonicalize((), 0, 0, 0)  # rank 0: no row to strip, and below the minimum rank
 
 
 def test_label_text_round_trip():

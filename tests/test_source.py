@@ -1,5 +1,11 @@
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import projquant
 
@@ -16,3 +22,54 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+PUBLIC_NAMES = {
+    "projquant": """BranchLabel Decomposition EigenvaluePoly IrrepLabel ResonantWeight YoungDiagram
+        branch_labels canonicalize char_eval component dimension dual eigenvalue extend_rank
+        extend_rank_dual is_resonant littlewood_richardson max_removal_embedding pieri
+        resonances resonances_for_symbols resonances_generic schur_eval symbol_rep
+        zero_removal_embedding""",
+    "projquant.flatmodel": """DiffOperator EquivarianceReport LiftNode LiftPlan Poly
+        PolyVectorField QuantCoefficients TensorSection alternating_section classical_casimir
+        compose contraction_operator density_quant_coefficients divergence killing_dual_basis
+        lie_derivative lie_operator lift_plan matrix_bracket proj_embedding
+        quantization_operator quantize_densities random_polynomial random_section sl_basis
+        solver_singular_deltas symmetric_section verify_equivariance""",
+}
+
+
+def test_package_imports_load_no_submodule():
+    script = (
+        "import sys, projquant, projquant.flatmodel\n"
+        "print(sorted(m for m in sys.modules if m.startswith('projquant')))\n"
+        "print(all(set(p.__all__) <= set(dir(p)) for p in (projquant, projquant.flatmodel)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(projquant.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.stdout.split("\n")[:2] == ["['projquant', 'projquant.flatmodel']", "True"]
+
+
+@pytest.mark.parametrize("package", sorted(PUBLIC_NAMES))
+def test_lazy_exports_resolve_to_their_home_modules(package):
+    module = importlib.import_module(package)
+    assert module.__all__ == sorted(PUBLIC_NAMES[package].split())
+    for name in module.__all__:
+        value = getattr(module, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+        assert value.__module__.startswith(f"{package}.")
+        assert name in dir(module)
+    namespace: dict = {}
+    exec(f"from {package} import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(module.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        module.no_such_name
+
+
+def test_submodules_import_beside_lazy_exports():
+    from projquant import cli
+    from projquant.flatmodel import quantize
+
+    assert cli.main and quantize.density_quant_coefficients
