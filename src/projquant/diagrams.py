@@ -51,10 +51,6 @@ class YoungDiagram:
     def first_row(self) -> int:
         return self.rows[0] if self.rows else 0
 
-    def row(self, i: int) -> int:
-        """Length of 0-based row i, zero beyond the depth."""
-        return self.rows[i] if i < len(self.rows) else 0
-
     def padded(self, length: int) -> Rows:
         if length < self.depth:
             raise ValueError(f"cannot pad depth-{self.depth} diagram to length {length}")
@@ -101,12 +97,6 @@ class IrrepLabel:
     @property
     def size(self) -> int:
         return self.diagram.size
-
-    def padded_rows(self) -> Rows:
-        return self.diagram.padded(self.rank)
-
-    def with_weight(self, weight: Fraction) -> "IrrepLabel":
-        return IrrepLabel(self.diagram, self.rank, self.twist, Fraction(weight))
 
     def __str__(self) -> str:
         return f"D={self.diagram}; m={self.rank}; n={self.twist}; delta={self.weight}"

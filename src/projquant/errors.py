@@ -6,11 +6,9 @@ from __future__ import annotations
 class ResonantWeight(ValueError):
     """Raised when a construction degenerates at a resonant weight.
 
-    Carries enough context to report which weight failed and, when known,
-    which denominators vanished.
+    Carries the weight that failed; the message names the cause.
     """
 
-    def __init__(self, message: str, delta=None, detail=None):
+    def __init__(self, message: str, delta=None):
         super().__init__(message)
         self.delta = delta
-        self.detail = detail

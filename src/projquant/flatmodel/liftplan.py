@@ -62,7 +62,6 @@ def lift_plan(label: IrrepLabel, delta: Fraction) -> LiftPlan:
                 f"eigenvalue collision at removal q = {q} for delta = {delta}: component "
                 f"({child}) shares the eigenvalue alpha = {base} of the base component",
                 delta,
-                detail=str(q),
             )
         nodes.append(LiftNode(q, child, Fraction(-2) / gap))
     label_set = set(labels)

@@ -5,12 +5,14 @@ The ansatz is the constant-coefficient divergence form
     Q(P) f = sum_{l=0..k} c_l < Div^l P, grad^{k-l} f >,      c_0 = 1.
 
 Translation and linear equivariance hold for every choice of the c_l, so
-the defining conditions come from the quadratic generators alone.  Those
-conditions form a linear system in c_1..c_k assembled here from a fixed
-family of monomial symbols; it is solved exactly, and the solve degenerates
-(rank drop or inconsistency) precisely at the resonant weights, the zeros
-of the factors (m + 2k - j)/(m + 1) - delta, j = 1..k, of the
-Lecomte-Ovsienko closed form.
+the defining conditions come from the quadratic generators alone.  One
+symbol and one generator suffice: for the symbol x_0^d d_0^k and the
+quadratic field of direction 0, the conditions on c_1..c_k are min(d + 1, k)
+independent equations at a generic weight.  Degree d = k - 1 gives a square
+k x k system, solved exactly; degree k gives held-out equations the solution
+must also satisfy.  The solve degenerates (rank drop or inconsistency)
+precisely at the resonant weights, the zeros of the factors
+(m + 2k - j)/(m + 1) - delta, j = 1..k, of the Lecomte-Ovsienko closed form.
 """
 
 from __future__ import annotations
@@ -24,13 +26,7 @@ from ..linalg import LinearSystem
 from .algebra import proj_embedding, sl_basis
 from .operators import DiffOperator, compose, contraction_operator, lie_operator
 from .poly import Poly
-from .sections import (
-    PolyVectorField,
-    TensorSection,
-    divergence,
-    lie_derivative,
-    symmetric_section,
-)
+from .sections import PolyVectorField, TensorSection, divergence, lie_derivative
 
 
 @dataclass(frozen=True)
@@ -50,10 +46,10 @@ class QuantCoefficients:
 
 
 @lru_cache(maxsize=None)
-def quadratic_generator(m: int, direction: int) -> PolyVectorField:
-    """The quadratic field generated by the lower-left matrix unit in a direction."""
+def quadratic_generator(m: int) -> PolyVectorField:
+    """The quadratic field generated by the lower-left matrix unit in direction 0."""
     h = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]
-    h[m][direction] = Fraction(1)
+    h[m][0] = Fraction(1)
     return proj_embedding(h)
 
 
@@ -87,32 +83,12 @@ def quantization_operator(
     return total
 
 
-def _monomial_symbol(m: int, k: int, index, exponents, weight) -> TensorSection:
-    data = {tuple(index): Poly.monomial(m, exponents)}
-    return symmetric_section(m, k, 0, weight, data)
-
-
-def _sample_symbols(m: int, k: int, weight, degrees) -> list[TensorSection]:
-    """Deterministic monomial symbols spanning enough directions for the solve."""
-    index_types = {(0,) * k, tuple(min(i, m - 1) for i in range(k))}
-    symbols = []
-    for degree in degrees:
-        for index in sorted(index_types):
-            for v in range(min(m, 2)):
-                exponents = [0] * m
-                exponents[v] = degree
-                symbols.append(_monomial_symbol(m, k, index, exponents, weight))
-    return symbols
-
-
-def _residual_family(m, lam, mu, symbol, ops, direction):
-    """Operators O_l with residual(c) = sum_l c_l O_l for one quadratic generator.
-
-    `ops` are the contraction operators of the divergence tower of `symbol`.
-    """
-    field = quadratic_generator(m, direction)
+def _residual_family(m, lam, mu, symbol):
+    """Operators O_l with residual(c) = sum_l c_l O_l for the quadratic generator."""
+    field = quadratic_generator(m)
     lie_in = lie_operator(field, lam)
     lie_out = lie_operator(field, mu)
+    ops = [contraction_operator(t, lam, mu) for t in divergence_tower(symbol)]
     moved_tower = divergence_tower(lie_derivative(field, symbol))
     return [
         compose(lie_out, op) - compose(op, lie_in) - contraction_operator(moved, lam, mu)
@@ -120,52 +96,30 @@ def _residual_family(m, lam, mu, symbol, ops, direction):
     ]
 
 
-def _equations(m, k, lam, mu, degrees):
-    """Keyed linear equations sum_{l>=1} c_l row[l-1] = rhs over all samples."""
-    delta = mu - lam
-    equations = {}
-    for sid, symbol in enumerate(_sample_symbols(m, k, delta, degrees)):
-        ops = [contraction_operator(t, lam, mu) for t in divergence_tower(symbol)]
-        for direction in range(min(m, 2)):
-            family = _residual_family(m, lam, mu, symbol, ops, direction)
-            # {beta: {monomial: coefficient}} per level, each view read once
-            views = [
-                {beta: p.coeffs for beta, p in op.coeffs.items()} for op in family
-            ]
-            keys = set()
-            for view in views:
-                for beta, terms in view.items():
-                    keys.update((beta, mono) for mono in terms)
-            for beta, mono in keys:
-                row = tuple(view.get(beta, {}).get(mono, 0) for view in views)
-                if any(x != 0 for x in row):
-                    equations[(sid, direction, beta, mono)] = (row[1:], -row[0])
-    return equations
-
-
-def _sample_degrees(k: int) -> range:
-    """Coefficient degrees of the sample symbols for an order-k solve (k >= 1).
-
-    Each degree adds the same few symbols, so spanning k unknowns takes
-    about k degrees: 0..k up to k = 4, then 0..k-1 (a further degree only
-    adds cost).
-    """
-    return range(k + 1 if k < 5 else k)
+def _equations(m, k, lam, mu, degree):
+    """Equations sum_{l>=1} c_l row[l-1] = rhs from the symbol x_0^degree d_0^k,
+    keyed by the (derivative, monomial) term of the residual they come from."""
+    monomial = Poly.monomial(m, (degree,) + (0,) * (m - 1))
+    symbol = TensorSection(m, k, 0, mu - lam, {(0,) * k: monomial})
+    rows = {}  # (beta, monomial) -> its coefficient in O_0..O_k
+    for level, op in enumerate(_residual_family(m, lam, mu, symbol)):
+        for beta, p in op.coeffs.items():
+            for mono, x in p.coeffs.items():
+                rows.setdefault((beta, mono), [0] * (k + 1))[level] = x
+    return {key: (row[1:], -row[0]) for key, row in rows.items()}
 
 
 def density_quant_coefficients(m, k, lam, mu) -> QuantCoefficients:
     """Solve the quadratic-generator conditions exactly at fixed weights.
 
+    The k unknowns c_1..c_k come from the square system of the symbol
+    x_0^(k-1) d_0^k; the equations of x_0^k d_0^k are held out and checked.
     Raises ResonantWeight when the system is singular (rank-deficient or
-    inconsistent); this happens exactly at the resonant weight shifts.
+    inconsistent) or the held-out check fails; this happens exactly at the
+    resonant weight shifts.
     """
     lam = Fraction(lam)
     mu = Fraction(mu)
-    return _cached_coefficients(m, k, lam, mu)
-
-
-@lru_cache(maxsize=512)
-def _cached_coefficients(m, k, lam, mu) -> QuantCoefficients:
     if m < 2:
         raise ValueError("rank must be at least 2")
     if k < 0:
@@ -183,17 +137,16 @@ def _cached_coefficients(m, k, lam, mu) -> QuantCoefficients:
             cause = f"delta is none of the factors (m+2k-j)/(m+1), j = 1..{k}"
         return ResonantWeight(f"quantization {problem} at delta = {delta}: {cause}", delta)
 
-    degrees = _sample_degrees(k)
     system = LinearSystem(k)
-    for row, rhs in _equations(m, k, lam, mu, degrees).values():
-        system.add(list(row), rhs)
+    for row, rhs in _equations(m, k, lam, mu, k - 1).values():
+        system.add(row, rhs)
         if system.inconsistent:
             raise resonant("system inconsistent")
     solution = system.solve()
     if solution is None:
         raise resonant("system rank-deficient")
-    # residuals on held-out higher-degree samples must vanish identically
-    for row, rhs in _equations(m, k, lam, mu, (max(degrees) + 1,)).values():
+    # residuals of the held-out degree-k symbol must vanish identically
+    for row, rhs in _equations(m, k, lam, mu, k).values():
         lhs = sum(c * x for c, x in zip(solution, row))
         if lhs != rhs:
             raise resonant("conditions unsatisfiable")
@@ -221,8 +174,8 @@ def solver_singular_deltas(m: int, k: int, lam=Fraction(1, 2)) -> tuple[Fraction
 
     They are the zeros of the factors (m + 2k - j)/(m + 1) - delta,
     j = 1..k, of the Lecomte-Ovsienko closed form.  The set does not depend
-    on `lam`; the tests prove, from the determinant of the sampled system
-    itself, that the solve degenerates exactly there.
+    on `lam`; the tests prove, from the determinant of the solve's own
+    square system, that the solve degenerates exactly there.
     """
     return tuple(sorted(Fraction(m + 2 * k - j, m + 1) for j in range(1, k + 1)))
 

@@ -27,9 +27,6 @@ class Decomposition:
     def __iter__(self):
         return iter(self.terms)
 
-    def labels(self) -> list[IrrepLabel]:
-        return [label for label, _ in self.terms]
-
     def multiplicity(self, label: IrrepLabel) -> int:
         for term, mult in self.terms:
             if term == label:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from projquant import IrrepLabel, ResonantWeight, canonicalize
 from projquant.flatmodel import density_quant_coefficients
-from projquant.flatmodel.quantize import _equations, _sample_degrees
+from projquant.flatmodel.quantize import _equations
 from projquant.linalg import LinearSystem, det
 
 Rows = tuple[int, ...]
@@ -76,8 +76,8 @@ def closed_form_coefficients(m: int, k: int, lam, mu) -> tuple[Fraction, ...]:
 
 
 def assert_solve_singular_exactly_on_formula(m: int, k: int, lam) -> tuple[Fraction, ...]:
-    """Prove from the sampled system itself that the order-k solve at rank m
-    and weight lam degenerates exactly at delta = (m + 2k - j)/(m + 1),
+    """Prove from the solve's own square system that the order-k solve at
+    rank m and weight lam degenerates exactly at delta = (m + 2k - j)/(m + 1),
     j = 1..k, and return those shifts in ascending order.
 
     Every entry of the equations is affine in delta by construction (each
@@ -91,11 +91,10 @@ def assert_solve_singular_exactly_on_formula(m: int, k: int, lam) -> tuple[Fract
     """
     lam = Fraction(lam)
     roots = [Fraction(m + 2 * k - j, m + 1) for j in range(1, k + 1)]
-    degrees = _sample_degrees(k)
     # part 0 holds the rows the solve eliminates, part 1 its held-out rows
     rows = {}  # (part, key) -> (entries at delta = 0, slope in delta), rhs last
-    for part, degs in enumerate((degrees, (max(degrees) + 1,))):
-        eqs = [_equations(m, k, lam, lam + d, degs) for d in (0, 1, 2)]
+    for part, degree in enumerate((k - 1, k)):
+        eqs = [_equations(m, k, lam, lam + d, degree) for d in (0, 1, 2)]
         for key in set().union(*eqs):
             a, b, c = ([*e[key][0], e[key][1]] if key in e else [0] * (k + 1) for e in eqs)
             assert all(z - y == y - x for x, y, z in zip(a, b, c)), f"{key} not affine"

@@ -15,6 +15,7 @@ from projquant.flatmodel import (
 )
 from projquant.flatmodel import quantize
 from projquant.flatmodel.quantize import QuantCoefficients
+from projquant.linalg import LinearSystem
 from support import assert_solve_singular_exactly_on_formula, closed_form_coefficients
 
 
@@ -142,9 +143,10 @@ def test_singular_deltas_match_resonances():
     assert solver_singular_deltas(2, 0) == ()
 
 
-@pytest.mark.parametrize("m,k", [(2, 6), (2, 7), (2, 8), (3, 6), (3, 7)])
+@pytest.mark.parametrize(
+    "m,k", [(2, 6), (2, 7), (2, 8), (3, 6), (3, 7), (4, 6), (5, 4), (6, 3)]
+)
 def test_high_order_matches_closed_form(m, k):
-    # k >= 6 unknowns need sample symbols of degree past 4
     lam, mu = Fraction(1, 2), Fraction(1, 3)
     got = density_quant_coefficients(m, k, lam, mu).values
     assert got == closed_form_coefficients(m, k, lam, mu)
@@ -168,10 +170,30 @@ def test_resonant_message_names_the_vanishing_factor(monkeypatch):
         "factor j = 2, (m+2k-j)/(m+1) = 11/4 vanishes"
     )
     assert exc.value.delta == Fraction(11, 4)
-    # too few sample symbols fail at a shift no factor explains, and say so
-    monkeypatch.setattr(quantize, "_sample_degrees", lambda k: range(5))
+    # a square system short of one row fails at a shift no factor explains, and says so
+    equations = quantize._equations
+
+    def one_row_short(m, k, lam, mu, degree):
+        rows = equations(m, k, lam, mu, degree)
+        if degree == k - 1:
+            del rows[min(rows)]
+        return rows
+
+    monkeypatch.setattr(quantize, "_equations", one_row_short)
     with pytest.raises(ResonantWeight) as exc:
         density_quant_coefficients(2, 6, Fraction(3, 11), Fraction(1, 13))
     assert str(exc.value).endswith(
         "delta is none of the factors (m+2k-j)/(m+1), j = 1..6"
     )
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_solve_symbol_gives_a_square_system(m):
+    # x_0^(k-1) d_0^k yields exactly k independent equations at a generic weight
+    lam, mu = Fraction(2, 7), Fraction(-1, 5)
+    for k in range(1, 7):
+        rows = quantize._equations(m, k, lam, mu, k - 1)
+        system = LinearSystem(k)
+        for row, rhs in rows.values():
+            system.add(row, rhs)
+        assert (len(rows), system.rank) == (k, k), (k, len(rows), system.rank)
