@@ -164,21 +164,28 @@ def _cmd_casimir_check(args) -> tuple[dict, int]:
     label = canonicalize(args.diagram.rows, args.m, args.n, args.delta)
     alpha = eigenvalue(label)(label.weight)
     rng = random.Random(args.seed)
-    matches = True
+    mismatch = None  # the first section component where C(s) and alpha s differ
     for _ in range(args.trials):
         section = None
         while not section:  # the zero section satisfies every eigen-equation: draw again
             section = random_section(
                 label.rank, label.diagram.rows, label.twist, label.weight, args.max_degree, rng
             )
-        if classical_casimir(section) != section.scale(alpha):
-            matches = False
+        got, expected = classical_casimir(section), section.scale(alpha)
+        if got != expected:
+            mismatch = min(
+                index
+                for index in got.coeffs.keys() | expected.coeffs.keys()
+                if got.component(index) != expected.component(index)
+            )
             break
     payload = _label_payload(label)
     payload.update(
-        {"alpha": _fmt(alpha), "trials": args.trials, "matches": matches}
+        {"alpha": _fmt(alpha), "trials": args.trials, "matches": mismatch is None}
     )
-    return payload, 0 if matches else 1
+    if mismatch is not None:
+        payload["first_mismatch"] = list(mismatch)
+    return payload, 0 if mismatch is None else 1
 
 
 def _cmd_lift_plan(args) -> tuple[dict, int]:

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import strategies as st
 
 from projquant import IrrepLabel, ResonantWeight, canonicalize
-from projquant.flatmodel import density_quant_coefficients
+from projquant.flatmodel import TensorSection, density_quant_coefficients, lie_derivative
+from projquant.flatmodel.algebra import casimir_field_pairs
 from projquant.flatmodel.quantize import _equations
 from projquant.linalg import LinearSystem, det
 
@@ -120,6 +121,17 @@ def assert_solve_singular_exactly_on_formula(m: int, k: int, lam) -> tuple[Fract
         with pytest.raises(ResonantWeight):
             density_quant_coefficients(m, k, lam, lam + r)
     return tuple(sorted(roots))
+
+
+def direct_casimir(section: TensorSection) -> TensorSection:
+    """sum_u L_u L_u+ over the Killing-dual field pairs, by 2 m(m+2) Lie
+    derivatives of the section itself: the reference for the kernels that
+    `classical_casimir` builds once per rank."""
+    m = section.rank
+    total = TensorSection(m, section.degree, section.twist, section.weight)
+    for outer, inner in casimir_field_pairs(m):
+        total = total + lie_derivative(outer, lie_derivative(inner, section))
+    return total
 
 
 def random_diagram(rng, max_size: int, max_depth: int) -> Rows:

@@ -68,8 +68,9 @@ def all_canonical_diagrams(max_size: int, rank: int):
 def test_criterion_1_eigenvalue_oracle():
     with criterion(1, "flat Casimir equals the eigenvalue polynomial, exactly"):
         rng = random.Random(20260810)
-        for m in (2, 3):
-            for rows in ((), (1,), (2,), (3,), (1, 1)):
+        shapes = ((), (1,), (2,), (3,), (1, 1))
+        for m, rank_shapes in ((2, shapes), (3, shapes), (4, shapes), (5, shapes[:3])):
+            for rows in rank_shapes:
                 if len(rows) > m - 1:
                     continue
                 for twist in (0, 1):

@@ -119,6 +119,27 @@ def test_casimir_check_redraws_the_zero_section(capsys, monkeypatch, seed):
     )  # fmt: skip
     assert code == 1
     assert payload["matches"] is False
+    assert payload["first_mismatch"] == []  # the one component of a scalar section
+
+
+def test_casimir_check_names_the_first_differing_component(capsys, monkeypatch):
+    from projquant.flatmodel import Poly, TensorSection, algebra
+
+    casimir = algebra.classical_casimir
+
+    def off_at_two_components(section):
+        bump = {index: Poly.constant(3, 1) for index in ((2, 0), (1, 2))}
+        return casimir(section) + TensorSection(
+            3, 2, section.twist, section.weight, bump
+        )
+
+    monkeypatch.setattr(algebra, "classical_casimir", off_at_two_components)
+    code, payload = run_json(
+        capsys, "casimir-check", "--m", "3", "--diagram", "2", "--trials", "1", "--max-degree", "1"
+    )
+    assert code == 1
+    assert payload["matches"] is False
+    assert payload["first_mismatch"] == [1, 2]
 
 
 def test_lift_plan_payload(capsys):

@@ -1,8 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import projquant
 from projquant import ResonantWeight, canonicalize, eigenvalue, resonances
 from projquant.flatmodel import (
     Poly,
@@ -22,7 +29,7 @@ from projquant.flatmodel import (
     symmetric_section,
 )
 from projquant.flatmodel.algebra import killing_form, matrix_trace
-from support import invert_matrix
+from support import direct_casimir, invert_matrix
 
 
 def euler_field(m):
@@ -134,6 +141,48 @@ def test_casimir_basis_independent():
             proj_embedding(u), lie_derivative(proj_embedding(ud), section)
         )
     assert total == classical_casimir(section)
+
+
+@st.composite
+def tensor_sections(draw):
+    """Sections with no symmetry and a few components filled, each a small
+    polynomial with rational coefficients."""
+    m = draw(st.integers(2, 4))
+    slots = draw(st.integers(0, 3))
+    index = st.tuples(*[st.integers(0, m - 1)] * slots)
+    monomial = st.tuples(*[st.integers(0, 2)] * m)
+    poly = st.dictionaries(monomial, st.fractions(-3, 3, max_denominator=7), max_size=3)
+    coeffs = draw(st.dictionaries(index, poly.map(lambda c: Poly(m, c)), max_size=4))
+    twist = draw(st.integers(-2, 2))
+    weight = draw(st.fractions(-3, 3, max_denominator=7))
+    return TensorSection(m, slots, twist, weight, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_sections())
+def test_casimir_kernels_equal_the_lie_derivative_loop(section):
+    assert classical_casimir(section) == direct_casimir(section)
+
+
+def test_casimir_rejects_rank_below_two():
+    for m in (0, 1):
+        with pytest.raises(ValueError, match="rank must be at least 2"):
+            classical_casimir(TensorSection(m, 0, 0, 0))
+
+
+def test_scalar_section_builds_only_the_scalar_kernel():
+    script = (
+        "from projquant.flatmodel import Poly, TensorSection, classical_casimir\n"
+        "from projquant.flatmodel import algebra\n"
+        "classical_casimir(TensorSection(3, 0, 0, 0, {(): Poly.constant(3, 1)}))\n"
+        "print([k.cache_info().currsize for k in "
+        "(algebra._scalar_kernel, algebra._slot_kernel, algebra._pair_kernel)])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(projquant.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.stdout == "[1, 0, 0]\n", run.stderr
 
 
 def test_lie_derivative_translation_kills_constants():

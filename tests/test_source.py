@@ -73,3 +73,30 @@ def test_submodules_import_beside_lazy_exports():
     from projquant.flatmodel import quantize
 
     assert cli.main and quantize.density_quant_coefficients
+
+
+
+def _imported_names(tree: ast.Module, package: str):
+    """Absolute names of the modules a module imports from, and of each name
+    it imports from them."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package.rsplit(".", node.level - 1)[0]
+                base = f"{parent}.{base}" if base else parent
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize("module", ["algebra", "sections"])
+def test_flat_casimir_side_imports_nothing_from_casimir(module):
+    # criterion 1 checks the flat operator against projquant.casimir, so the
+    # operator must be built without it
+    path = Path(projquant.__file__).parent / "flatmodel" / f"{module}.py"
+    names = set(_imported_names(ast.parse(path.read_text()), "projquant.flatmodel"))
+    assert "projquant.flatmodel.poly.poly_sum" in names  # the resolution works
+    bad = {n for n in names if n == "projquant.casimir" or n.startswith("projquant.casimir.")}
+    assert not bad, bad
