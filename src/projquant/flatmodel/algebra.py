@@ -16,13 +16,16 @@ exact tests downstream verify.
 
 The sum does not depend on the section, so it is expanded once per rank.
 With L_X = X . grad + sum_slots (-DX on the slot) + t div X, t = delta - n,
-it splits into a scalar operator of order <= 2 with coefficients in t^0,
-t^1, t^2, a one-slot operator of order <= 1 per (i <- j) with coefficients
-in t^0, t^1, and a two-slot polynomial per (i, i' <- j, j').  Each of the
-three kernels is cached per rank and built on first use, so a scalar
-section builds only the first.  The sums are exact: whatever cancels is
-gone and whatever survives is applied, so nothing assumes the operator is
-of order zero.
+it splits into a scalar part with terms in t^0, t^1, t^2, a one-slot part
+per (i <- j) with terms in t^0, t^1, and a two-slot part per
+(i, i' <- j, j').  The operator commutes with translations and with the
+Euler field, so after the exact sums every term is a constant: the kernels
+are {power of t: constant} for the scalar part and each one-slot entry and
+one constant per two-slot entry, a constant matrix on index tuples.  Each
+builder checks that once per rank and raises RuntimeError, naming the rank,
+the part and the term, on a term with a derivative or a non-constant
+coefficient.  Each kernel is cached per rank and built on first use, so a
+scalar section builds only the first.
 """
 
 from __future__ import annotations
@@ -138,12 +141,6 @@ def casimir_field_pairs(m: int) -> tuple[tuple[PolyVectorField, PolyVectorField]
     return tuple((proj_embedding(u), proj_embedding(ud)) for u, ud in zip(basis, dual))
 
 
-# A kernel term is (derivative, power): the sorted variables it differentiates
-# in, () for none, (a,) for d_a, (a, b) for d_a d_b, and the power of
-# t = delta - n that multiplies its polynomial coefficient.
-Term = tuple[tuple[int, ...], int]
-
-
 def _nonzero(polys) -> list[tuple[int, Poly]]:
     return [(a, p) for a, p in enumerate(polys) if p]
 
@@ -153,150 +150,152 @@ def _jacobian_entries(field: PolyVectorField) -> list[tuple[int, int, Poly]]:
     return [(i, j, g) for i, row in enumerate(field.jacobian) for j, g in enumerate(row) if g]
 
 
-def _sums(m: int, parts: dict) -> dict:
-    """{key: sum of its listed polynomials}, without the keys whose sum is zero."""
-    sums = {key: poly_sum(m, polys) for key, polys in parts.items()}
-    return {key: p for key, p in sums.items() if p}
+def _constants(m: int, part: str, parts: dict) -> dict:
+    """{key: constant} of the nonzero sums in parts, keyed (key, derivative).
+
+    A derivative lists the sorted variables a term differentiates in.  The
+    Casimir commutes with translations and with the Euler field, so each
+    nonzero sum must be a constant with derivative (); anything else is a
+    fault in the construction and raises, naming the rank, part and term.
+    """
+    out = {}
+    for (key, derivative), p in parts.items():
+        p = poly_sum(m, p)
+        if not p:
+            continue
+        if derivative or p.total_degree():
+            raise RuntimeError(
+                f"Casimir kernel of rank {m}, {part} part: term {key} with derivative "
+                f"{derivative} and coefficient {p!r} is not a constant"
+            )
+        out[key] = p.eval((0,) * m)
+    return out
 
 
 @lru_cache(maxsize=None)
-def _scalar_kernel(m: int) -> dict[Term, Poly]:
+def _scalar_kernel(m: int) -> dict[int, Fraction]:
     """The part of sum L_u L_u+ that acts on every component alike.
 
     With D_X = X . grad and f_X = div X it is
-    sum_u D_u D_u+ + t ((D_u f_u+) + f_u+ D_u + f_u D_u+) + t^2 f_u f_u+.
+    sum_u D_u D_u+ + t ((D_u f_u+) + f_u+ D_u + f_u D_u+) + t^2 f_u f_u+,
+    reduced to {power of t: constant}.
     """
     parts = defaultdict(list)
     for u, v in casimir_field_pairs(m):
         for a, ua in _nonzero(u.components):
             for b, vb in _nonzero(v.components):
-                parts[(tuple(sorted((a, b))), 0)].append(ua * vb)
+                parts[(0, tuple(sorted((a, b))))].append(ua * vb)
                 if v.jacobian[b][a]:
-                    parts[((b,), 0)].append(ua * v.jacobian[b][a])
+                    parts[(0, (b,))].append(ua * v.jacobian[b][a])
             if v.div:
-                parts[((a,), 1)].append(v.div * ua)
+                parts[(1, (a,))].append(v.div * ua)
                 if v.div.diff(a):
-                    parts[((), 1)].append(ua * v.div.diff(a))
+                    parts[(1, ())].append(ua * v.div.diff(a))
         if u.div:
             for a, va in _nonzero(v.components):
-                parts[((a,), 1)].append(u.div * va)
+                parts[(1, (a,))].append(u.div * va)
             if v.div:
-                parts[((), 2)].append(u.div * v.div)
-    return _sums(m, parts)
+                parts[(2, ())].append(u.div * v.div)
+    return _constants(m, "scalar", parts)
 
 
 @lru_cache(maxsize=None)
-def _slot_kernel(m: int) -> dict[int, tuple[tuple[int, dict[Term, Poly]], ...]]:
+def _slot_kernel(m: int) -> dict[int, tuple[tuple[int, dict[int, Fraction]], ...]]:
     """The part of sum L_u L_u+ that moves one slot from value j to value i.
 
     With M_X = -DX acting on the slot it is
     sum_u (M_u+ D_u + M_u D_u+ + (D_u M_u+) + M_u M_u+) + t (f_u+ M_u + f_u M_u+),
-    keyed by j: the targets i with their terms.
+    keyed by j: the targets i with their {power of t: constant}.
     """
     parts = defaultdict(list)
     for u, v in casimir_field_pairs(m):
         v_entries = _jacobian_entries(v)
         for i, j, g in v_entries:
             for a, ua in _nonzero(u.components):
-                parts[(i, j, (a,), 0)].append(-(ua * g))
+                parts[((i, j, 0), (a,))].append(-(ua * g))
                 if g.diff(a):
-                    parts[(i, j, (), 0)].append(-(ua * g.diff(a)))
+                    parts[((i, j, 0), ())].append(-(ua * g.diff(a)))
             if u.div:
-                parts[(i, j, (), 1)].append(-(u.div * g))
+                parts[((i, j, 1), ())].append(-(u.div * g))
         for i, j, g in _jacobian_entries(u):
             for a, va in _nonzero(v.components):
-                parts[(i, j, (a,), 0)].append(-(va * g))
+                parts[((i, j, 0), (a,))].append(-(va * g))
             if v.div:
-                parts[(i, j, (), 1)].append(-(v.div * g))
+                parts[((i, j, 1), ())].append(-(v.div * g))
             for k, j2, h in v_entries:
                 if k == j:
-                    parts[(i, j2, (), 0)].append(g * h)
+                    parts[((i, j2, 0), ())].append(g * h)
     by_source = defaultdict(lambda: defaultdict(dict))
-    for (i, j, derivative, power), p in _sums(m, parts).items():
-        by_source[j][i][(derivative, power)] = p
+    for (i, j, power), c in _constants(m, "one-slot", parts).items():
+        by_source[j][i][power] = c
     return {j: tuple(targets.items()) for j, targets in by_source.items()}
 
 
 @lru_cache(maxsize=None)
-def _pair_kernel(m: int) -> dict[tuple[int, int], tuple[tuple[tuple[int, int], Poly], ...]]:
+def _pair_kernel(m: int) -> dict[tuple[int, int], tuple[tuple[tuple[int, int], Fraction], ...]]:
     """The part of sum L_u L_u+ that moves two distinct slots at once.
 
     It is sum_u M_u M_u+ with M_u on one slot and M_u+ on another, keyed by
-    the source values (j, j'): the targets (i, i') with their coefficients.
+    the source values (j, j'): the targets (i, i') with their constants.
     """
     parts = defaultdict(list)
     for u, v in casimir_field_pairs(m):
         v_entries = _jacobian_entries(v)
         for i, j, g in _jacobian_entries(u):
             for i2, j2, h in v_entries:
-                parts[(j, j2, i, i2)].append(g * h)
+                parts[((j, j2, i, i2), ())].append(g * h)
     by_source = defaultdict(list)
-    for (j, j2, i, i2), p in _sums(m, parts).items():
-        by_source[(j, j2)].append(((i, i2), p))
+    for (j, j2, i, i2), c in _constants(m, "two-slot", parts).items():
+        by_source[(j, j2)].append(((i, i2), c))
     return {source: tuple(targets) for source, targets in by_source.items()}
 
 
-def _at_weight(m: int, terms: dict[Term, Poly], t) -> list[tuple[tuple[int, ...], Poly]]:
-    """(derivative, coefficient) of kernel terms with t = delta - n substituted."""
-    by_derivative = defaultdict(list)
-    for (derivative, power), p in terms.items():
-        by_derivative[derivative].append(p.scale(t**power))
-    return list(_sums(m, by_derivative).items())
-
-
-def _derivative(cache: dict, derivative: tuple[int, ...]) -> Poly:
-    """d^derivative of cache[()], memoised in cache."""
-    p = cache.get(derivative)
-    if p is None:
-        p = cache[derivative] = _derivative(cache, derivative[:-1]).diff(derivative[-1])
-    return p
+def _at_t(powers: dict[int, Fraction], t) -> Fraction:
+    return sum(c * t**power for power, c in powers.items())
 
 
 def classical_casimir(section: TensorSection) -> TensorSection:
     """Casimir operator sum_u L_u L_u+ along the projective embedding, exactly.
 
-    Applies the three kernels of the rank, built from the cached
+    Applies the three constant kernels of the rank, built from the cached
     Killing-dual field pairs on first use and cached per rank: the scalar
-    operator (order <= 2) to every component, the one-slot operator
-    (order <= 1, i <- j) on every slot, and the two-slot polynomials
-    (i, i' <- j, j') on every ordered pair of distinct slots.  The powers of
-    t = delta - n in their coefficients are summed at the section's t.
+    one to every component, the one-slot one (i <- j) on every slot, and
+    the two-slot one (i, i' <- j, j') on every ordered pair of distinct
+    slots.  The powers of t = delta - n in the first two are summed at the
+    section's t.  Each builder checks once per rank that every surviving
+    term is a constant with no derivative and raises RuntimeError otherwise.
     A section with fewer than two slots builds no two-slot kernel, a scalar
     one no one-slot kernel either.  Independent of the basis choice; the
     result equals the sum of iterated Lie derivatives exactly.
     """
     m = section.rank
     t = section.weight - section.twist
-    scalar = _at_weight(m, _scalar_kernel(m), t)
+    scalar = _at_t(_scalar_kernel(m), t)
     slots = range(section.degree)
     one_slot = {}
     if section.degree:
         one_slot = {
-            j: [(i, _at_weight(m, terms, t)) for i, terms in targets]
+            j: [(i, _at_t(powers, t)) for i, powers in targets]
             for j, targets in _slot_kernel(m).items()
         }
     two_slot = _pair_kernel(m) if section.degree > 1 else {}
     slot_pairs = [(s, s2) for s in slots for s2 in slots if s != s2]
     parts: dict[tuple[int, ...], list[Poly]] = defaultdict(list)
     for index, p in section.coeffs.items():
-        # kernel coefficients by (target, derivative), summed before they meet p
-        terms = defaultdict(list)
-        for d, c in scalar:
-            terms[(index, d)].append(c)
+        # the constants by target, summed before they scale p
+        factors = {index: scalar}
         for s in slots:
-            for i, ops in one_slot.get(index[s], ()):
+            for i, c in one_slot.get(index[s], ()):
                 target = index[:s] + (i,) + index[s + 1 :]
-                for d, c in ops:
-                    terms[(target, d)].append(c)
+                factors[target] = factors.get(target, 0) + c
         for s, s2 in slot_pairs:
             for (i, i2), c in two_slot.get((index[s], index[s2]), ()):
                 target = list(index)
                 target[s], target[s2] = i, i2
-                terms[(tuple(target), ())].append(c)
-        derivatives = {(): p}
-        for (target, d), cs in terms.items():
-            c = poly_sum(m, cs)
+                target = tuple(target)
+                factors[target] = factors.get(target, 0) + c
+        for target, c in factors.items():
             if c:
-                parts[target].append(c * _derivative(derivatives, d))
+                parts[target].append(p.scale(c))
     out = {index: poly_sum(m, polys) for index, polys in parts.items()}
     return TensorSection(m, section.degree, section.twist, section.weight, out)

@@ -207,13 +207,14 @@ def verify_equivariance(
     mu = Fraction(mu)
     exact = {-1: True, 0: True, 1: True}
     failures = []
+    # Q(P) does not depend on the generator
+    qops = [(symbol, quantization_operator(symbol, coefficients, lam, mu)) for symbol in symbols]
     for h in sl_basis(m):
         grading = generator_grading(h)
         field = proj_embedding(h)
         lie_in = lie_operator(field, lam)
         lie_out = lie_operator(field, mu)
-        for si, symbol in enumerate(symbols):
-            qop = quantization_operator(symbol, coefficients, lam, mu)
+        for si, (symbol, qop) in enumerate(qops):
             moved = quantization_operator(
                 lie_derivative(field, symbol), coefficients, lam, mu
             )

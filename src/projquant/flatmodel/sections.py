@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from typing import Mapping
 
@@ -167,12 +168,21 @@ def alternating_section(
     return TensorSection(rank, 2, twist, weight, coeffs)
 
 
+@lru_cache(maxsize=None)
+def _exponents(rank: int, max_degree: int) -> tuple[Index, ...]:
+    """Exponent tuples of total degree <= max_degree, in lexicographic order."""
+    if rank == 0:
+        return ((),) if max_degree >= 0 else ()
+    return tuple(
+        (e,) + rest
+        for e in range(max_degree + 1)
+        for rest in _exponents(rank - 1, max_degree - e)
+    )
+
+
 def random_polynomial(rank: int, max_degree: int, rng) -> Poly:
-    coeffs = {}
-    for exps in product(range(max_degree + 1), repeat=rank):
-        if sum(exps) <= max_degree:
-            coeffs[exps] = rng.randint(-3, 3)
-    return Poly(rank, coeffs)
+    """Coefficients drawn from -3..3 for every monomial of degree <= max_degree."""
+    return Poly(rank, {exps: rng.randint(-3, 3) for exps in _exponents(rank, max_degree)})
 
 
 def random_section(

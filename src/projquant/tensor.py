@@ -1,8 +1,14 @@
 """Tensor product decompositions: Pieri rule and Littlewood-Richardson rule.
 
-Both rules operate on diagrams, then labels are reassembled: twists add,
-weights add, and diagrams deeper than the rank are discarded (their Schur
-polynomials vanish in that many variables) before canonicalization.
+Both rules walk one enumerator of outer shapes whose rows are bounded by
+per-row ceilings.  Pieri's ceilings admit exactly the horizontal strips;
+Littlewood-Richardson's admit the shapes no deeper than the rank whose
+first row fits both first rows, and weigh each by its count of lattice
+fillings.  Diagrams deeper than the rank never come up (their Schur
+polynomials vanish in that many variables): a canonical label has at most
+rank - 1 rows and a horizontal strip adds at most one.  Labels are then
+reassembled: twists add, weights add, and canonicalization strips full
+columns.
 
 The Littlewood-Richardson multiplicities are computed by direct enumeration
 of skew fillings with the lattice-word condition; instance sizes here stay
@@ -42,39 +48,6 @@ class Decomposition:
         return Decomposition(tuple(ordered))
 
 
-def _horizontal_strips(rows: Rows, k: int) -> list[Rows]:
-    """All diagrams obtained by adding k boxes, no two in the same column."""
-    results: list[Rows] = []
-    depth = len(rows)
-
-    def place(i: int, prev_old: int, remaining: int, acc: list[int]) -> None:
-        if i > depth:
-            if remaining == 0:
-                results.append(tuple(acc))
-            return
-        old = rows[i] if i < depth else 0
-        if i + 1 <= depth:
-            tail_capacity = sum(
-                (rows[j - 1] if j - 1 < depth else 0) - (rows[j] if j < depth else 0)
-                for j in range(i + 1, depth + 1)
-            )
-        else:
-            tail_capacity = 0
-        # strip condition: old <= new <= previous old row (boundless for the top row)
-        upper = prev_old if i > 0 else old + remaining
-        upper = min(upper, old + remaining)
-        for new in range(old, upper + 1):
-            used = new - old
-            if remaining - used > tail_capacity:
-                continue
-            acc.append(new)
-            place(i + 1, old, remaining - used, acc)
-            acc.pop()
-
-    place(0, 0, k, [])
-    return results
-
-
 def pieri(label: IrrepLabel, k: int) -> Decomposition:
     """Decomposition of label (x) S^k: one term per horizontal k-strip.
 
@@ -83,41 +56,38 @@ def pieri(label: IrrepLabel, k: int) -> Decomposition:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
+    rows = label.diagram.rows
     counts: dict[IrrepLabel, int] = {}
-    for rows in _horizontal_strips(label.diagram.rows, k):
-        if len(tuple(r for r in rows if r)) > label.rank:
-            continue
-        term = canonicalize(rows, label.rank, label.twist, label.weight)
+    # a horizontal strip: new row i + 1 reaches at most old row i
+    for outer in _outer_shapes(rows, label.size + k, (label.diagram.first_row + k,) + rows):
+        term = canonicalize(outer, label.rank, label.twist, label.weight)
         counts[term] = counts.get(term, 0) + 1
     return Decomposition.from_counts(counts)
 
 
-def _outer_shapes(inner: Rows, total: int, max_depth: int) -> list[Rows]:
-    """Partitions of `total` boxes containing `inner`, at most `max_depth` rows."""
+def _outer_shapes(inner: Rows, total: int, ceilings: Rows) -> list[Rows]:
+    """Partitions of `total` boxes that contain `inner` and lie under `ceilings`.
+
+    Row i is at most ceilings[i], so there are at most len(ceilings) rows;
+    `inner` must itself lie under `ceilings`.  Each partition appears once,
+    in the order the row-by-row search reaches it.
+    """
     results: list[Rows] = []
-    extra = total - sum(inner)
 
     def build(i: int, prev: int, remaining: int, acc: list[int]) -> None:
         if remaining == 0:
             results.append(tuple(acc) + inner[i:])
             return
-        if i >= max_depth:
+        if i >= len(ceilings):
             return
         low = inner[i] if i < len(inner) else 0
-        high = min(prev, low + remaining)
-        for c in range(low, high + 1):
-            # rows below must still be able to hold their inner parts
+        for c in range(low, min(prev, low + remaining, ceilings[i]) + 1):
             acc.append(c)
             build(i + 1, c, remaining - (c - low), acc)
             acc.pop()
 
-    build(0, sum(inner) + extra, extra, [])
-    cleaned = []
-    for rows in results:
-        rows = tuple(r for r in rows if r)
-        if all(a >= b for a, b in zip(rows, rows[1:])):
-            cleaned.append(rows)
-    return sorted(set(cleaned), reverse=True)
+    build(0, total, total - sum(inner), [])
+    return results
 
 
 def _lr_fillings(outer: Rows, inner: Rows, content: Rows) -> int:
@@ -180,8 +150,8 @@ def littlewood_richardson(a: IrrepLabel, b: IrrepLabel) -> Decomposition:
     """Full decomposition of a (x) b over a common rank.
 
     Multiplicity of an outer shape c is the number of lattice skew fillings
-    of c/a with content b.  Shapes deeper than the rank are discarded before
-    canonicalization; twists and weights add.
+    of c/a with content b.  Shapes deeper than the rank are never
+    enumerated; twists and weights add.
     """
     if a.rank != b.rank:
         raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
@@ -190,17 +160,13 @@ def littlewood_richardson(a: IrrepLabel, b: IrrepLabel) -> Decomposition:
     content = b.diagram.rows
     total = a.size + b.size
     counts: dict[IrrepLabel, int] = {}
-    max_depth = len(inner) + len(content) if total else 0
-    for outer in _outer_shapes(inner, total, max(max_depth, 1)):
-        if outer and outer[0] > a.diagram.first_row + b.diagram.first_row:
-            continue
+    # c_1 <= a_1 + b_1, and a shape deeper than m has no label
+    first = a.diagram.first_row + b.diagram.first_row
+    for outer in _outer_shapes(inner, total, (first,) * min(len(inner) + len(content), m)):
         mult = _lr_fillings(outer, inner, content)
-        if mult == 0:
-            continue
-        if len(outer) > m:
-            continue
-        term = canonicalize(outer, m, a.twist + b.twist, a.weight + b.weight)
-        counts[term] = counts.get(term, 0) + mult
+        if mult:
+            term = canonicalize(outer, m, a.twist + b.twist, a.weight + b.weight)
+            counts[term] = counts.get(term, 0) + mult
     return Decomposition.from_counts(counts)
 
 

@@ -195,6 +195,44 @@ def test_table_format(capsys):
     assert "diagram" in out and "dim" in out
 
 
+def test_table_format_renders_a_dict_payload(capsys):
+    code, out = run_cli(
+        capsys, "--format", "table", "eigenvalue",
+        "--m", "3", "--diagram", "2,1", "--n", "1", "--delta", "1/2",
+    )
+    assert code == 0
+    assert out == (
+        "label: D=2,1; m=3; n=1; delta=1/2\n"
+        "diagram: 2,1\n"
+        "n: 1\n"
+        "delta: 1/2\n"
+        "c0: 39/4\n"
+        "c1: -15/2\n"
+        "c2: 3/2\n"
+        "alpha: 51/8\n"
+    )
+
+
+def test_table_format_renders_nested_lists_of_dicts(capsys):
+    code, out = run_cli(
+        capsys, "--format", "table", "lift-plan",
+        "--m", "2", "--diagram", "2", "--n", "0", "--delta", "0",
+    )
+    assert code == 0
+    assert out == (
+        "label: D=2; m=2; n=0; delta=0\n"
+        "delta: 0\n"
+        "nodes:\n"
+        "  q    diagram  label                   coefficient\n"
+        "  0,0  2        D=2; m=2; n=0; delta=0  -          \n"
+        "  1,0  1        D=1; m=2; n=0; delta=0  -6/5       \n"
+        "  2,0  0        D=0; m=2; n=0; delta=0  -3/4       \n"
+        "edges:\n"
+        "  0,0, 1,0\n"
+        "  1,0, 2,0\n"
+    )
+
+
 def test_env_format_override(capsys, monkeypatch):
     monkeypatch.setenv("PROJQUANT_FORMAT", "table")
     code, out = run_cli(capsys, "resonances", "--m", "2", "--diagram", "1")

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from projquant.flatmodel import (
     sl_basis,
     symmetric_section,
 )
+from projquant.flatmodel import algebra
 from projquant.flatmodel.algebra import killing_form, matrix_trace
 from support import direct_casimir, invert_matrix
 
@@ -183,6 +185,60 @@ def test_scalar_section_builds_only_the_scalar_kernel():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert run.stdout == "[1, 0, 0]\n", run.stderr
+
+
+def _kernel_from(monkeypatch, pairs):
+    """Point the kernel builders, uncached, at the given (u, u+) field pairs."""
+    monkeypatch.setattr(algebra, "casimir_field_pairs", lambda m: pairs)
+    for kernel in (algebra._scalar_kernel, algebra._slot_kernel, algebra._pair_kernel):
+        monkeypatch.setattr(algebra, kernel.__name__, kernel.__wrapped__)
+
+
+def test_casimir_kernel_rejects_a_term_with_a_derivative(monkeypatch):
+    # u = u+ = d_0 leaves the scalar term d_0 d_0 with coefficient 1
+    translation = PolyVectorField((Poly.constant(2, 1), Poly.zero(2)))
+    _kernel_from(monkeypatch, [(translation, translation)])
+    section = TensorSection(2, 0, 0, 0, {(): Poly.variable(2, 0)})
+    with pytest.raises(
+        RuntimeError, match=r"rank 2, scalar part: term 0 with derivative \(0, 0\)"
+    ):
+        classical_casimir(section)
+
+
+def test_casimir_kernel_rejects_a_non_constant_coefficient(monkeypatch):
+    # u = u+ = x_0^2 d_0: M_u M_u+ on two slots is 4 x_0^2 at (0, 0 <- 0, 0)
+    x0 = Poly.variable(2, 0)
+    field = PolyVectorField((x0 * x0, Poly.zero(2)))
+    _kernel_from(monkeypatch, [(field, field)])
+    with pytest.raises(
+        RuntimeError,
+        match=r"rank 2, two-slot part: term \(0, 0, 0, 0\) with derivative \(\) "
+        r"and coefficient Poly\(4\*x0\^2\) is not a constant",
+    ):
+        algebra._pair_kernel(2)
+
+
+def test_casimir_kernels_are_constant_matrices():
+    for m in range(2, 6):
+        assert algebra._scalar_kernel(m) == {1: Fraction(-m, 2), 2: Fraction(m, 2)}
+        for j, targets in algebra._slot_kernel(m).items():
+            assert targets == ((j, {0: 1, 1: -1}),)
+
+
+def test_random_polynomial_draws_as_the_filtered_product():
+    def filtered_product(rank, max_degree, rng):
+        coeffs = {}
+        for exps in product(range(max_degree + 1), repeat=rank):
+            if sum(exps) <= max_degree:
+                coeffs[exps] = rng.randint(-3, 3)
+        return Poly(rank, coeffs)
+
+    for m in range(2, 7):
+        for d in range(4):
+            for seed in (0, 1, 7):
+                new, old = random.Random(seed), random.Random(seed)
+                assert random_polynomial(m, d, new) == filtered_product(m, d, old)
+                assert new.random() == old.random()
 
 
 def test_lie_derivative_translation_kills_constants():

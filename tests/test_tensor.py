@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projquant import (
     canonicalize,
@@ -13,6 +15,7 @@ from projquant import (
     pieri,
     symbol_rep,
 )
+from projquant.tensor import _outer_shapes
 from support import label_pairs, random_canonical_label, random_point
 
 
@@ -140,6 +143,30 @@ def test_pieri_agrees_with_lr_row():
         k = rng.randint(0, 3)
         row = canonicalize((k,), rank, 0, 0)
         assert pieri(label, k).terms == littlewood_richardson(label, row).terms
+
+
+@st.composite
+def outer_shape_cases(draw):
+    inner = sorted(draw(st.lists(st.integers(1, 4), max_size=3)), reverse=True)
+    depth = draw(st.integers(len(inner), 4))
+    padded = inner + [0] * (depth - len(inner))
+    ceilings = tuple(row + draw(st.integers(0, 4)) for row in padded)
+    return tuple(inner), draw(st.integers(0, 9)), ceilings
+
+
+@settings(max_examples=150, deadline=None)
+@given(outer_shape_cases())
+def test_outer_shapes_lists_every_partition_under_the_ceilings_once(case):
+    inner, total, ceilings = case
+    padded = inner + (0,) * (len(ceilings) - len(inner))
+    expected = [
+        tuple(r for r in rows if r)
+        for rows in product(range(total + 1), repeat=len(ceilings))
+        if sum(rows) == total
+        and all(a >= b for a, b in zip(rows, rows[1:]))
+        and all(low <= r <= high for low, r, high in zip(padded, rows, ceilings))
+    ]
+    assert sorted(_outer_shapes(inner, total, ceilings)) == sorted(expected)
 
 
 @settings(max_examples=100, deadline=None)
