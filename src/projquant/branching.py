@@ -13,25 +13,33 @@ may be removed from row m as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .diagrams import IrrepLabel, canonicalize, extend_rank_dual
+from .records import Record
 
 
-@dataclass(frozen=True)
-class BranchLabel:
+class BranchLabel(Record):
     """Removal vector q with trailing zeros trimmed; |q| is the box count."""
 
-    removals: tuple[int, ...] = ()
+    __slots__ = ("removals",)
 
-    def __post_init__(self) -> None:
-        removals = tuple(int(r) for r in self.removals)
+    def __init__(self, removals: tuple[int, ...] = ()) -> None:
+        removals = tuple(int(r) for r in removals)
         if any(r < 0 for r in removals):
             raise ValueError(f"negative removal count in {removals}")
         while removals and removals[-1] == 0:
             removals = removals[:-1]
         object.__setattr__(self, "removals", removals)
+
+    # lift plans key their scalars by removal vector; inline as for labels
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.removals == other.removals
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.removals)
 
     @property
     def norm(self) -> int:

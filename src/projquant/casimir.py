@@ -15,21 +15,23 @@ independent route the tests compare the closed form against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from .branching import BranchLabel, branch_labels, component
 from .diagrams import IrrepLabel, extend_rank
+from .records import Record
 
 
-@dataclass(frozen=True)
-class EigenvaluePoly:
+class EigenvaluePoly(Record):
     """alpha(delta) = c0 + c1*delta + c2*delta**2 with exact coefficients."""
 
-    c0: Fraction
-    c1: Fraction
-    c2: Fraction
+    __slots__ = ("c0", "c1", "c2")
+
+    def __init__(self, c0: Fraction, c1: Fraction, c2: Fraction) -> None:
+        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
 
     def __call__(self, delta: Fraction) -> Fraction:
         delta = Fraction(delta)
@@ -44,20 +46,20 @@ def eigenvalue(label: IrrepLabel) -> EigenvaluePoly:
         alpha = (m(n - delta) + d)(m(n + 1 - delta) + d) / 2m
               + (1 / 2m(m+1)) * sum_{i,j=1..m}
                     d_i d_j (m kron_ij - 1) + 2 d_i (m - j)(m kron_ij - 1)
+
+    The j-sums close, leaving m sum_i d_i (d_i + m + 1 - 2i) - d^2 over the
+    nonzero rows only, so the cost grows with the depth, not with m.
     """
     m = label.rank
-    d = label.diagram.padded(m)
+    rows = label.diagram.rows
     size = label.size
     a = m * label.twist + size
     # (a - m*delta)(a + m - m*delta) / 2m expanded in delta
     c0 = Fraction(a * (a + m), 2 * m)
     c1 = Fraction(-(2 * a + m), 2)
     c2 = Fraction(m, 2)
-    s = 0
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            kron = m if i == j else 0
-            s += d[i - 1] * d[j - 1] * (kron - 1) + 2 * d[i - 1] * (m - j) * (kron - 1)
+    # row i (0-based here) contributes d_i (d_i + m - 1 - 2i)
+    s = m * sum(r * (r + m - 1 - 2 * i) for i, r in enumerate(rows)) - size * size
     c0 += Fraction(s, 2 * m * (m + 1))
     return EigenvaluePoly(c0, c1, c2)
 

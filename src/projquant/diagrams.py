@@ -14,23 +14,21 @@ detection decidable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
-from .linalg import det
+from .records import Record
 
 Rows = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class YoungDiagram:
+class YoungDiagram(Record):
     """Non-increasing row lengths; trailing zeros are trimmed on construction."""
 
-    rows: Rows = ()
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        rows = tuple(int(r) for r in self.rows)
+    def __init__(self, rows: Rows = ()) -> None:
+        rows = tuple(int(r) for r in rows)
         if any(r < 0 for r in rows):
             raise ValueError(f"negative row length in {rows}")
         if any(a < b for a, b in zip(rows, rows[1:])):
@@ -38,6 +36,16 @@ class YoungDiagram:
         while rows and rows[-1] == 0:
             rows = rows[:-1]
         object.__setattr__(self, "rows", rows)
+
+    # labels are dictionary keys in every decomposition, and comparing the
+    # fields inline costs half the generic record key
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.rows)
 
     @property
     def size(self) -> int:
@@ -70,29 +78,38 @@ class YoungDiagram:
         return cls(rows)
 
 
-@dataclass(frozen=True)
-class IrrepLabel:
+class IrrepLabel(Record):
     """Classifier (diagram, rank m, twist n, weight delta) of a GL(m) irreducible.
 
     The label must be canonical: diagram depth at most rank - 1.  Use
     :func:`canonicalize` to build labels from raw row data.
     """
 
-    diagram: YoungDiagram
-    rank: int
-    twist: int = 0
-    weight: Fraction = Fraction(0)
+    __slots__ = ("diagram", "rank", "twist", "weight")
 
-    def __post_init__(self) -> None:
-        if self.rank < 2:
-            raise ValueError(f"rank must be at least 2, got {self.rank}")
-        if self.diagram.depth > self.rank - 1:
+    def __init__(
+        self, diagram: YoungDiagram, rank: int, twist: int = 0, weight: Fraction = Fraction(0)
+    ) -> None:
+        if rank < 2:
+            raise ValueError(f"rank must be at least 2, got {rank}")
+        if diagram.depth > rank - 1:
             raise ValueError(
-                f"diagram depth {self.diagram.depth} exceeds rank {self.rank} - 1; "
-                "canonicalize first"
+                f"diagram depth {diagram.depth} exceeds rank {rank} - 1; canonicalize first"
             )
-        object.__setattr__(self, "weight", Fraction(self.weight))
-        object.__setattr__(self, "twist", int(self.twist))
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "twist", int(twist))
+        object.__setattr__(self, "weight", Fraction(weight))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.diagram, self.rank, self.twist, self.weight) == (
+                other.diagram, other.rank, other.twist, other.weight
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.diagram, self.rank, self.twist, self.weight))
 
     @property
     def size(self) -> int:
@@ -201,6 +218,8 @@ def schur_eval(diagram: YoungDiagram, point: Sequence[Fraction]) -> Fraction:
         raise ValueError(f"point coordinates must be nonzero: {xs}")
     if diagram.depth > m:
         return Fraction(0)
+    from .linalg import det  # only character values need determinants
+
     lam = diagram.padded(m)
     num = det([[x ** (lam[j] + m - 1 - j) for j in range(m)] for x in xs])
     den = det([[x ** (m - 1 - j) for j in range(m)] for x in xs])

@@ -10,28 +10,40 @@ weights, where no lift exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..branching import BranchLabel, branch_labels, component
 from ..casimir import eigenvalue
 from ..diagrams import IrrepLabel, extend_rank
 from ..errors import ResonantWeight
+from ..records import Record
 
 
-@dataclass(frozen=True)
-class LiftNode:
-    removals: BranchLabel
-    component: IrrepLabel
-    coefficient: Fraction | None  # None on the root
+class LiftNode(Record):
+    __slots__ = ("removals", "component", "coefficient")
+
+    def __init__(
+        self, removals: BranchLabel, component: IrrepLabel, coefficient: Fraction | None
+    ) -> None:
+        object.__setattr__(self, "removals", removals)
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "coefficient", coefficient)  # None on the root
 
 
-@dataclass(frozen=True)
-class LiftPlan:
-    label: IrrepLabel
-    delta: Fraction
-    nodes: tuple[LiftNode, ...]
-    edges: tuple[tuple[BranchLabel, BranchLabel], ...]
+class LiftPlan(Record):
+    __slots__ = ("label", "delta", "nodes", "edges")
+
+    def __init__(
+        self,
+        label: IrrepLabel,
+        delta: Fraction,
+        nodes: tuple[LiftNode, ...],
+        edges: tuple[tuple[BranchLabel, BranchLabel], ...],
+    ) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def root(self) -> LiftNode:

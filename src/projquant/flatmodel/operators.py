@@ -9,27 +9,38 @@ for bookkeeping.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from itertools import product
 from math import comb
 
+from ..records import Record
 from .poly import Poly, poly_sum
 from .sections import PolyVectorField, TensorSection
 
 MultiIndex = tuple[int, ...]
 
 
-@dataclass
-class DiffOperator:
-    """Sum of coefficient polynomials times iterated partial derivatives."""
+class DiffOperator(Record):
+    """Sum of coefficient polynomials times iterated partial derivatives.
 
-    rank: int
-    coeffs: dict[MultiIndex, Poly] = field(default_factory=dict)
-    weight_in: object = 0
-    weight_out: object = 0
+    Unlike the other records it is mutable and therefore unhashable.
+    """
 
-    def __post_init__(self):
-        self.coeffs = {k: v for k, v in self.coeffs.items() if v}
+    __slots__ = ("rank", "coeffs", "weight_in", "weight_out")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        rank: int,
+        coeffs: dict[MultiIndex, Poly] | None = None,
+        weight_in: object = 0,
+        weight_out: object = 0,
+    ) -> None:
+        self.rank = rank
+        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
+        self.weight_in = weight_in
+        self.weight_out = weight_out
 
     @property
     def order(self) -> int:

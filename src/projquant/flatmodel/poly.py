@@ -21,10 +21,10 @@ Coefficients must be ints or Fractions; anything else raises TypeError.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Mapping
 
 Monomial = tuple[int, ...]
 

@@ -17,28 +17,27 @@ precisely at the resonant weights, the zeros of the factors
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from ..errors import ResonantWeight
 from ..linalg import LinearSystem
+from ..records import Record
 from .algebra import proj_embedding, sl_basis
 from .operators import DiffOperator, compose, contraction_operator, lie_operator
 from .poly import Poly
 from .sections import PolyVectorField, TensorSection, divergence, lie_derivative
 
 
-@dataclass(frozen=True)
-class QuantCoefficients:
+class QuantCoefficients(Record):
     """Divergence-ansatz constants c_0..c_k with the symbol normalization c_0 = 1."""
 
-    values: tuple[Fraction, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        if not self.values or self.values[0] != 1:
+    def __init__(self, values: tuple[Fraction, ...]) -> None:
+        if not values or values[0] != 1:
             raise ValueError("quantization coefficients must start with c_0 = 1")
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(Fraction(v) for v in values))
 
     @property
     def order(self) -> int:
@@ -180,14 +179,22 @@ def solver_singular_deltas(m: int, k: int, lam=Fraction(1, 2)) -> tuple[Fraction
     return tuple(sorted(Fraction(m + 2 * k - j, m + 1) for j in range(1, k + 1)))
 
 
-@dataclass(frozen=True)
-class EquivarianceReport:
+class EquivarianceReport(Record):
     """Exactness of the commutation defect per grading of the generator."""
 
-    translations_exact: bool
-    linear_exact: bool
-    quadratic_exact: bool
-    failures: tuple[str, ...] = ()
+    __slots__ = ("translations_exact", "linear_exact", "quadratic_exact", "failures")
+
+    def __init__(
+        self,
+        translations_exact: bool,
+        linear_exact: bool,
+        quadratic_exact: bool,
+        failures: tuple[str, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "translations_exact", translations_exact)
+        object.__setattr__(self, "linear_exact", linear_exact)
+        object.__setattr__(self, "quadratic_exact", quadratic_exact)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def all_exact(self) -> bool:

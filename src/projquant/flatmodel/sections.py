@@ -18,32 +18,32 @@ constructors; those are the shapes the eigenvalue oracle exercises.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
-from typing import Mapping
 
+from ..records import Record
 from .poly import Poly, poly_sum
 
 Index = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PolyVectorField:
-    """Vector field with polynomial components; Jacobian data precomputed."""
+class PolyVectorField(Record):
+    """Vector field with polynomial components; Jacobian data precomputed.
 
-    components: tuple[Poly, ...]
-    jacobian: tuple[tuple[Poly, ...], ...] = field(init=False, compare=False, repr=False)
-    div: Poly = field(init=False, compare=False, repr=False)
+    Equality, hashing and the repr cover the components alone.
+    """
 
-    def __post_init__(self):
-        m = len(self.components)
-        jac = tuple(
-            tuple(self.components[i].diff(j) for j in range(m)) for i in range(m)
-        )
+    __slots__ = ("components", "jacobian", "div")
+    _fields = ("components",)
+
+    def __init__(self, components: tuple[Poly, ...]) -> None:
+        m = len(components)
+        jac = tuple(tuple(components[i].diff(j) for j in range(m)) for i in range(m))
         div = Poly.zero(m)
         for j in range(m):
             div = div + jac[j][j]
+        object.__setattr__(self, "components", components)
         object.__setattr__(self, "jacobian", jac)
         object.__setattr__(self, "div", div)
 

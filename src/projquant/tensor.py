@@ -17,18 +17,21 @@ small enough that the simple algorithm is the right one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import accumulate
 
 from .diagrams import IrrepLabel, canonicalize, dual
+from .records import Record
 
 Rows = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Multiset of (label, multiplicity) terms in a fixed canonical order."""
 
-    terms: tuple[tuple[IrrepLabel, int], ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[IrrepLabel, int], ...]) -> None:
+        object.__setattr__(self, "terms", terms)
 
     def __iter__(self):
         return iter(self.terms)
@@ -70,18 +73,29 @@ def _outer_shapes(inner: Rows, total: int, ceilings: Rows) -> list[Rows]:
 
     Row i is at most ceilings[i], so there are at most len(ceilings) rows;
     `inner` must itself lie under `ceilings`.  Each partition appears once,
-    in the order the row-by-row search reaches it.
+    in the order the row-by-row search reaches it.  Row i starts long
+    enough that the later rows, even filled to their ceilings, can take the
+    boxes left over; this cuts the dead branches of a long Pieri strip,
+    whose later ceilings are the old rows.
     """
     results: list[Rows] = []
+    depth = len(ceilings)
+    lows = inner + (0,) * (depth - len(inner))
+    # room[i]: the boxes rows i + 1.. can take beyond `inner`
+    slack = [high - low for high, low in zip(ceilings[:0:-1], lows[:0:-1])]
+    room = list(accumulate(slack, initial=0))[::-1]
 
     def build(i: int, prev: int, remaining: int, acc: list[int]) -> None:
         if remaining == 0:
             results.append(tuple(acc) + inner[i:])
             return
-        if i >= len(ceilings):
+        if i >= depth:
             return
-        low = inner[i] if i < len(inner) else 0
-        for c in range(low, min(prev, low + remaining, ceilings[i]) + 1):
+        low = lows[i]
+        start = low + remaining - room[i]  # shorter rows leave boxes with no room
+        if start < low:
+            start = low
+        for c in range(start, min(prev, low + remaining, ceilings[i]) + 1):
             acc.append(c)
             build(i + 1, c, remaining - (c - low), acc)
             acc.pop()

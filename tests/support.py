@@ -12,7 +12,7 @@ from math import comb, prod
 import pytest
 from hypothesis import strategies as st
 
-from projquant import IrrepLabel, ResonantWeight, canonicalize
+from projquant import EigenvaluePoly, IrrepLabel, ResonantWeight, canonicalize
 from projquant.flatmodel import TensorSection, density_quant_coefficients, lie_derivative
 from projquant.flatmodel.algebra import casimir_field_pairs
 from projquant.flatmodel.quantize import _equations
@@ -58,6 +58,27 @@ def schur_by_tableaux(rows: Rows, point) -> Fraction:
                 term *= xs[v - 1]
         total += term
     return total
+
+
+def unpruned_outer_shapes(inner: Rows, total: int, ceilings: Rows) -> list[Rows]:
+    """The row-by-row walk of `tensor._outer_shapes` bounded by each row's
+    ceiling alone: the reference for the order the pruned walk must keep."""
+    results: list[Rows] = []
+
+    def build(i: int, prev: int, remaining: int, acc: list[int]) -> None:
+        if remaining == 0:
+            results.append(tuple(acc) + inner[i:])
+            return
+        if i >= len(ceilings):
+            return
+        low = inner[i] if i < len(inner) else 0
+        for c in range(low, min(prev, low + remaining, ceilings[i]) + 1):
+            acc.append(c)
+            build(i + 1, c, remaining - (c - low), acc)
+            acc.pop()
+
+    build(0, total, total - sum(inner), [])
+    return results
 
 
 def closed_form_coefficients(m: int, k: int, lam, mu) -> tuple[Fraction, ...]:
@@ -121,6 +142,29 @@ def assert_solve_singular_exactly_on_formula(m: int, k: int, lam) -> tuple[Fract
         with pytest.raises(ResonantWeight):
             density_quant_coefficients(m, k, lam, lam + r)
     return tuple(sorted(roots))
+
+
+def eigenvalue_by_double_sum(label: IrrepLabel) -> EigenvaluePoly:
+    """The Casimir eigenvalue with its diagram part summed over all m^2
+    index pairs i, j of the rows padded to the rank m:
+
+        alpha = (m(n - delta) + d)(m(n + 1 - delta) + d) / 2m
+              + (1 / 2m(m+1)) * sum_{i,j} d_i d_j (m kron_ij - 1) + 2 d_i (m - j)(m kron_ij - 1)
+
+    the reference for the library's closed j-sums."""
+    m = label.rank
+    d = label.diagram.padded(m)
+    a = m * label.twist + label.size
+    s = 0
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            kron = m if i == j else 0
+            s += d[i - 1] * d[j - 1] * (kron - 1) + 2 * d[i - 1] * (m - j) * (kron - 1)
+    return EigenvaluePoly(
+        Fraction(a * (a + m), 2 * m) + Fraction(s, 2 * m * (m + 1)),
+        Fraction(-(2 * a + m), 2),
+        Fraction(m, 2),
+    )
 
 
 def direct_casimir(section: TensorSection) -> TensorSection:

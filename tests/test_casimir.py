@@ -18,7 +18,7 @@ from projquant import (
     resonances_generic,
     symbol_rep,
 )
-from support import random_canonical_label
+from support import eigenvalue_by_double_sum, random_canonical_label
 
 
 def all_canonical_labels(max_size, ranks, twists=(0,)):
@@ -85,6 +85,14 @@ def test_eigenvalue_double_sum_closed_form():
         first = expected * (expected + m) / (2 * m)
         total = first + Fraction(closed, 2 * m * (m + 1))
         assert eigenvalue(label).c0 == total
+
+
+def test_eigenvalue_matches_the_double_sum_over_all_index_pairs():
+    rng = random.Random(53)
+    for rank in range(2, 13):
+        for _ in range(40):
+            label = random_canonical_label(rng, rank, max_size=14)
+            assert eigenvalue(label) == eigenvalue_by_double_sum(label), label
 
 
 def test_resonances_single_row():

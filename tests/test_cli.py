@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import projquant
-from projquant import IrrepLabel, cli, eigenvalue
+from projquant import EigenvaluePoly, IrrepLabel, cli, eigenvalue
 from projquant.cli import main
 from support import closed_form_coefficients
 
@@ -58,6 +58,16 @@ def test_eigenvalue_payload(capsys):
     assert code == 0
     assert payload["c2"] == "1"
     assert payload["alpha"] == "1"
+
+
+def test_eigenvalue_cost_does_not_grow_with_the_rank(capsys):
+    start = time.perf_counter()
+    code, payload = run_json(
+        capsys, "eigenvalue", "--m", "100000", "--diagram", "2,1", "--delta", "1/3"
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert payload["c2"] == "50000"
 
 
 def test_quantize_success(capsys):
@@ -109,7 +119,7 @@ def test_casimir_check_redraws_the_zero_section(capsys, monkeypatch, seed):
     # these seeds draw the zero section first, and it satisfies any eigenvalue
     def wrong_eigenvalue(label):
         poly = eigenvalue(label)
-        return replace(poly, c0=poly.c0 + 1)
+        return EigenvaluePoly(poly.c0 + 1, poly.c1, poly.c2)
 
     monkeypatch.setattr(cli, "eigenvalue", wrong_eigenvalue)
     code, payload = run_json(
@@ -393,10 +403,12 @@ def test_rational_flag_without_a_value_is_usage_error(capsys):
 @pytest.mark.parametrize(
     "argv,code,needed,absent",
     [
-        (["resonances", "--m", "3", "--diagram", "2,1"], 0, "casimir", ("flatmodel", "tensor")),
+        (["resonances", "--m", "3", "--diagram", "2,1"], 0, "casimir",
+         ("flatmodel", "tensor", "linalg")),
         (["eigenvalue", "--m", "3", "--diagram", "2,1", "--delta", "1/3"], 0, "casimir",
-         ("flatmodel", "tensor")),
-        (["branch", "--m", "3", "--diagram", "2,1"], 0, "branching", ("flatmodel", "tensor")),
+         ("flatmodel", "tensor", "linalg")),
+        (["branch", "--m", "3", "--diagram", "2,1"], 0, "branching",
+         ("flatmodel", "tensor", "linalg")),
         (["decompose", "--v1", "D=1; m=2; n=0; delta=0", "--v2", "D=1; m=2; n=0; delta=0",
           "-k", "1"], 0, "tensor", ("flatmodel",)),
         (["quantize", "--m", "2", "-k", "1", "--lambda", "0", "--mu", "1"], 1,
@@ -424,6 +436,8 @@ def test_subcommand_imports_only_its_layers(argv, code, needed, absent):
     }
     assert f"projquant.{needed}" in loaded
     assert not {name for name in loaded if name.startswith(tuple(f"projquant.{a}" for a in absent))}
+    # dataclasses would pull in inspect, ast, dis and tokenize on every call
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 _SUBCOMMAND_FLAGS = {

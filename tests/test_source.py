@@ -24,6 +24,20 @@ def test_library_has_no_assert_statements():
     assert not found, found
 
 
+def test_library_does_not_import_dataclasses():
+    # its import (through inspect) costs a CLI call more than most subcommands compute
+    root = Path(projquant.__file__).parent
+    paths = sorted(root.rglob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        package = ".".join(("projquant", *path.relative_to(root).parent.parts))
+        names = _imported_names(ast.parse(path.read_text()), package)
+        if any(name.partition(".")[0] == "dataclasses" for name in names):
+            found.append(str(path.relative_to(root)))
+    assert not found, found
+
+
 PUBLIC_NAMES = {
     "projquant": """BranchLabel Decomposition EigenvaluePoly IrrepLabel ResonantWeight YoungDiagram
         branch_labels canonicalize char_eval component dimension dual eigenvalue extend_rank

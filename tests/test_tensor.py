@@ -16,7 +16,7 @@ from projquant import (
     symbol_rep,
 )
 from projquant.tensor import _outer_shapes
-from support import label_pairs, random_canonical_label, random_point
+from support import label_pairs, random_canonical_label, random_point, unpruned_outer_shapes
 
 
 def test_pieri_trivial_base():
@@ -166,7 +166,9 @@ def test_outer_shapes_lists_every_partition_under_the_ceilings_once(case):
         and all(a >= b for a, b in zip(rows, rows[1:]))
         and all(low <= r <= high for low, r, high in zip(padded, rows, ceilings))
     ]
-    assert sorted(_outer_shapes(inner, total, ceilings)) == sorted(expected)
+    shapes = _outer_shapes(inner, total, ceilings)
+    assert sorted(shapes) == sorted(expected)
+    assert shapes == unpruned_outer_shapes(inner, total, ceilings)
 
 
 @settings(max_examples=100, deadline=None)
