@@ -192,12 +192,11 @@ def dimension(label: IrrepLabel) -> int:
     """Dimension of the irreducible by the Weyl product formula.
 
     prod_{i<j} (lam_i - lam_j + j - i)/(j - i) over rows padded to the rank;
-    independent of twist and weight.
+    independent of twist and weight.  Pairs of zero rows give 1 and are skipped.
     """
     lam = label.diagram.padded(label.rank)
-    num = 1
-    den = 1
-    for i in range(label.rank):
+    num = den = 1
+    for i in range(label.diagram.depth):
         for j in range(i + 1, label.rank):
             num *= lam[i] - lam[j] + j - i
             den *= j - i

@@ -30,8 +30,8 @@ _EXPORTS = {
         "quantize",
     ),
     **dict.fromkeys(
-        ("PolyVectorField", "TensorSection", "alternating_section", "divergence",
-         "lie_derivative", "random_polynomial", "random_section", "symmetric_section"),
+        ("PolyVectorField", "TensorSection", "divergence", "lie_derivative",
+         "random_polynomial", "random_section", "young_section"),
         "sections",
     ),
 }  # fmt: skip

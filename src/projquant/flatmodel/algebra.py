@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .poly import Poly, poly_sum
 from .sections import PolyVectorField, TensorSection
@@ -250,10 +251,6 @@ def _pair_kernel(m: int) -> dict[tuple[int, int], tuple[tuple[tuple[int, int], F
     return {source: tuple(targets) for source, targets in by_source.items()}
 
 
-def _at_t(powers: dict[int, Fraction], t) -> Fraction:
-    return sum(c * t**power for power, c in powers.items())
-
-
 def classical_casimir(section: TensorSection) -> TensorSection:
     """Casimir operator sum_u L_u L_u+ along the projective embedding, exactly.
 
@@ -270,32 +267,36 @@ def classical_casimir(section: TensorSection) -> TensorSection:
     """
     m = section.rank
     t = section.weight - section.twist
-    scalar = _at_t(_scalar_kernel(m), t)
+    scalar = sum(c * t**power for power, c in _scalar_kernel(m).items())
     slots = range(section.degree)
-    one_slot = {}
-    if section.degree:
-        one_slot = {
-            j: [(i, _at_t(powers, t)) for i, powers in targets]
-            for j, targets in _slot_kernel(m).items()
-        }
+    one_slot = {
+        j: [(i, sum(c * t**power for power, c in powers.items())) for i, powers in targets]
+        for j, targets in (_slot_kernel(m) if section.degree else {}).items()
+    }
     two_slot = _pair_kernel(m) if section.degree > 1 else {}
+    # every constant as an int over one denominator, so the sums below are int sums
+    constants = [c for kernel in (one_slot, two_slot) for v in kernel.values() for _, c in v]
+    den = lcm(scalar.denominator, *(c.denominator for c in constants))
+    scalar = scalar.numerator * den // scalar.denominator
+    one_slot, two_slot = (
+        {j: [(i, c.numerator * den // c.denominator) for i, c in v] for j, v in kernel.items()}
+        for kernel in (one_slot, two_slot)
+    )
     slot_pairs = [(s, s2) for s in slots for s2 in slots if s != s2]
     parts: dict[tuple[int, ...], list[Poly]] = defaultdict(list)
     for index, p in section.coeffs.items():
         # the constants by target, summed before they scale p
-        factors = {index: scalar}
+        factors = defaultdict(int, {index: scalar})
         for s in slots:
             for i, c in one_slot.get(index[s], ()):
-                target = index[:s] + (i,) + index[s + 1 :]
-                factors[target] = factors.get(target, 0) + c
+                factors[index[:s] + (i,) + index[s + 1 :]] += c
         for s, s2 in slot_pairs:
             for (i, i2), c in two_slot.get((index[s], index[s2]), ()):
                 target = list(index)
                 target[s], target[s2] = i, i2
-                target = tuple(target)
-                factors[target] = factors.get(target, 0) + c
+                factors[tuple(target)] += c
         for target, c in factors.items():
             if c:
-                parts[target].append(p.scale(c))
+                parts[target].append(p.scale(Fraction(c, den)))
     out = {index: poly_sum(m, polys) for index, polys in parts.items()}
     return TensorSection(m, section.degree, section.twist, section.weight, out)

@@ -197,6 +197,9 @@ class Poly:
     def __hash__(self):
         return hash((self.nvars, self._den, frozenset(self._terms.items())))
 
+    def __reduce__(self):  # a copy shares the cached layout, so it combines
+        return Poly, (self.nvars, self.coeffs)
+
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented

@@ -11,8 +11,8 @@ coupling of twist and weight opposite in sign; that relative sign is pinned
 by the Casimir eigenvalue checks and by the location of the first
 quantization resonance.
 
-Only symmetric-power sections and the alternating two-slot case are given
-constructors; those are the shapes the eigenvalue oracle exercises.
+Every diagram's sections come from one constructor, `young_section`, the
+Young symmetrizer of coefficients keyed by index tuples read row by row.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Mapping
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import chain, combinations, combinations_with_replacement, permutations, product
 
+from ..diagrams import YoungDiagram
 from ..records import Record
 from .poly import Poly, poly_sum
 
@@ -142,30 +143,36 @@ class TensorSection:
         )
 
 
-def symmetric_section(
-    rank: int, degree: int, twist: int, weight, data: Mapping[Index, Poly]
+def young_section(
+    rank: int, rows: tuple[int, ...], twist: int, weight, data: Mapping[Index, Poly]
 ) -> TensorSection:
-    """Build a symmetric section from coefficients keyed by sorted index tuples."""
-    coeffs: dict[Index, Poly] = {}
+    """Young-symmetrized section of the diagram's bundle (Fulton-Harris, Lecture 4).
+
+    data maps index tuples, read row by row, to coefficients.  Each one is
+    spread once over each distinct rearrangement of its key within every
+    row, then every column is antisymmetrized with signs: one row with
+    sorted keys gives the symmetric section, one column with i < j the
+    alternating one.
+    """
+    rows = YoungDiagram(rows).rows  # non-increasing, or ValueError
+    degree = sum(rows)
+    starts = [sum(rows[:r]) for r in range(len(rows))]
+    columns = [[s + c for s, r in zip(starts, rows) if r > c] for c in range(max(rows, default=0))]
+    moves = []  # (slot order, sign) of every permutation within the columns
+    for perms in product(*map(permutations, columns)):
+        order = [source for _, source in sorted(zip(chain(*columns), chain(*perms)))]
+        moves.append((order, (-1) ** sum(a > b for a, b in combinations(order, 2))))
+    parts: dict[Index, list[Poly]] = defaultdict(list)
     for index, p in data.items():
-        if tuple(sorted(index)) != tuple(index):
-            raise ValueError(f"key {index} is not sorted")
-        for perm in set(permutations(index)):
-            coeffs[perm] = p
-    return TensorSection(rank, degree, twist, weight, coeffs)
-
-
-def alternating_section(
-    rank: int, twist: int, weight, data: Mapping[Index, Poly]
-) -> TensorSection:
-    """Build an antisymmetric two-slot section from coefficients keyed by i < j."""
-    coeffs: dict[Index, Poly] = {}
-    for (i, j), p in data.items():
-        if not i < j:
-            raise ValueError(f"key {(i, j)} must have i < j")
-        coeffs[(i, j)] = p
-        coeffs[(j, i)] = p.scale(-1)
-    return TensorSection(rank, 2, twist, weight, coeffs)
+        if len(index) != degree or not all(0 <= i < rank for i in index):
+            raise ValueError(f"key {index} is not {degree} indices below {rank}")
+        segments = (sorted(set(permutations(index[s : s + r]))) for s, r in zip(starts, rows))
+        for spread in product(*segments):
+            spread = sum(spread, ())
+            for order, sign in moves:
+                parts[tuple(spread[o] for o in order)].append(p.scale(sign))
+    out = {index: poly_sum(rank, terms) for index, terms in parts.items()}
+    return TensorSection(rank, degree, twist, weight, out)
 
 
 @lru_cache(maxsize=None)
@@ -195,30 +202,19 @@ def random_section(
 ) -> TensorSection:
     """Random section of the bundle labelled by (diagram, twist, weight).
 
-    Supports the trivial diagram, one-row diagrams (symmetric powers), and
-    the two-box column (alternating two-tensors); other shapes would need
-    explicit symmetry projectors and are out of scope here.
+    One random polynomial per semistandard filling with entries below the
+    rank, in lexicographic order of the reading word, Young-symmetrized.  A
+    diagram deeper than the rank has no filling and raises ValueError.
     """
-    rows = tuple(r for r in diagram_rows if r)
-    if rows == ():
-        return TensorSection(
-            rank, 0, twist, weight, {(): random_polynomial(rank, max_degree, rng)}
-        )
-    if len(rows) == 1:
-        k = rows[0]
-        data = {
-            index: random_polynomial(rank, max_degree, rng)
-            for index in combinations_with_replacement(range(rank), k)
-        }
-        return symmetric_section(rank, k, twist, weight, data)
-    if rows == (1, 1):
-        data = {
-            (i, j): random_polynomial(rank, max_degree, rng)
-            for i in range(rank)
-            for j in range(i + 1, rank)
-        }
-        return alternating_section(rank, twist, weight, data)
-    raise ValueError(f"no section model for diagram {rows}")
+    words = product(*(combinations_with_replacement(range(rank), r) for r in diagram_rows))
+    data = {
+        sum(word, ()): random_polynomial(rank, max_degree, rng)
+        for word in words
+        if all(a < b for upper, lower in zip(word, word[1:]) for a, b in zip(upper, lower))
+    }
+    if not data:
+        raise ValueError(f"diagram {diagram_rows} has no filling with entries below rank {rank}")
+    return young_section(rank, diagram_rows, twist, weight, data)
 
 
 def lie_derivative(field: PolyVectorField, section: TensorSection) -> TensorSection:

@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 from projquant import (
+    EigenvaluePoly,
     ResonantWeight,
     YoungDiagram,
     branch_labels,
@@ -28,12 +29,14 @@ from projquant import (
     schur_eval,
 )
 from projquant.flatmodel import (
+    Poly,
     classical_casimir,
     density_quant_coefficients,
     random_polynomial,
     random_section,
     solver_singular_deltas,
     verify_equivariance,
+    young_section,
 )
 from support import (
     assert_solve_singular_exactly_on_formula,
@@ -186,3 +189,40 @@ def test_criterion_8_equivariance_of_constructed_quantization():
                     m, k, lam, lam + delta, coeffs.values, symbols, functions
                 )
                 assert report.all_exact, report.failures
+
+
+def highest_weight_vector(m: int, rows: tuple[int, ...], twist: int, delta: Fraction):
+    """The Young-symmetrized constant tensor whose row r holds the index r."""
+    key = tuple(r for r, length in enumerate(rows) for _ in range(length))
+    return young_section(m, rows, twist, delta, {key: Poly.constant(m, 1)})
+
+
+def test_criterion_9_eigenvalue_on_highest_weight_vectors():
+    with criterion(9, "every diagram's highest-weight vector has the eigenvalue polynomial"):
+        # the flat Casimir is a constant matrix commuting with gl(m), so by Schur
+        # it is one scalar on each Young image; three weights pin c0, c1 and c2
+        for m in range(2, 7):
+            for rows in all_canonical_diagrams(6, m):
+                for twist in (-1, 0, 1, 2):
+                    for delta in (Fraction(0), Fraction(1, 3), Fraction(-5, 2)):
+                        section = highest_weight_vector(m, rows, twist, delta)
+                        alpha = eigenvalue(canonicalize(rows, m, twist, delta))(delta)
+                        assert section and classical_casimir(section) == section.scale(alpha)
+
+
+def test_highest_weight_check_tells_the_shapes_apart():
+    # criterion 9 would miss a wrong eigenvalue if every shape gave the same scalar
+    delta = Fraction(1, 3)
+    for m in (4, 5):
+        section = highest_weight_vector(m, (2, 1), 0, delta)
+        image = classical_casimir(section)
+        for other in ((3,), (1, 1, 1), (2, 2)):
+            assert image != section.scale(eigenvalue(canonicalize(other, m, 0, delta))(delta))
+        poly = eigenvalue(canonicalize((2, 1), m, 0, delta))
+        for wrong in (
+            EigenvaluePoly(poly.c0 + 1, poly.c1, poly.c2),
+            EigenvaluePoly(poly.c0, poly.c1 + 1, poly.c2),
+            EigenvaluePoly(poly.c0, poly.c1, poly.c2 + 1),
+        ):
+            assert image != section.scale(wrong(delta))
+        assert image == section.scale(poly(delta))

@@ -70,6 +70,14 @@ def test_eigenvalue_cost_does_not_grow_with_the_rank(capsys):
     assert payload["c2"] == "50000"
 
 
+def test_branch_cost_does_not_grow_quadratically_with_the_rank(capsys):
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "branch", "--m", "1000", "--diagram", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert [item["dim"] for item in payload] == [999, 1]
+
+
 def test_quantize_success(capsys):
     code, payload = run_json(
         capsys, "quantize", "--m", "2", "-k", "1", "--lambda", "1/2", "--mu", "1/2"
@@ -130,6 +138,30 @@ def test_casimir_check_redraws_the_zero_section(capsys, monkeypatch, seed):
     assert code == 1
     assert payload["matches"] is False
     assert payload["first_mismatch"] == []  # the one component of a scalar section
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("diagram", ["2,1", "2,2", "3,1", "2,1,1"])
+def test_casimir_check_answers_for_multi_row_diagrams(capsys, diagram, m):
+    code, payload = run_json(
+        capsys, "casimir-check", "--m", str(m), "--diagram", diagram, "--delta", "1/3"
+    )
+    assert code == 0
+    assert payload["matches"] is True and payload["trials"] == 5
+
+
+def test_casimir_check_rejects_a_wrong_eigenvalue_on_a_hook(capsys, monkeypatch):
+    def wrong_eigenvalue(label):
+        poly = eigenvalue(label)
+        return EigenvaluePoly(poly.c0 + 1, poly.c1, poly.c2)
+
+    monkeypatch.setattr(cli, "eigenvalue", wrong_eigenvalue)
+    code, payload = run_json(
+        capsys, "casimir-check", "--m", "3", "--diagram", "2,1", "--trials", "1"
+    )
+    assert code == 1
+    assert payload["matches"] is False
+    assert len(payload["first_mismatch"]) == 3
 
 
 def test_casimir_check_names_the_first_differing_component(capsys, monkeypatch):
@@ -377,6 +409,7 @@ def test_optimized_interpreter_prints_the_same_bytes():
              "--v2", "D=3,1; m=3; n=0; delta=1/2", "-k", "2"],
             0,
         ),
+        (["casimir-check", "--m", "3", "--diagram", "2,1", "--delta", "1/3", "--trials", "2"], 0),
     ]  # fmt: skip
     for argv, code in calls:
         runs = [

@@ -155,6 +155,20 @@ def test_dimension_values():
     assert dimension(canonicalize((2,), 2)) == 3
 
 
+def test_dimension_equals_the_weyl_product_over_every_pair():
+    # the library skips pairs of two zero rows; here every pair is multiplied
+    rng = random.Random(44)
+    for _ in range(300):
+        m = rng.randint(2, 12)
+        label = random_canonical_label(rng, m, max_size=rng.randint(1, 12))
+        lam = label.diagram.padded(m)
+        weyl = Fraction(1)
+        for i in range(m):
+            for j in range(i + 1, m):
+                weyl *= Fraction(lam[i] - lam[j] + j - i, j - i)
+        assert dimension(label) == weyl
+
+
 def test_dimension_dual_invariant():
     rng = random.Random(23)
     for _ in range(30):

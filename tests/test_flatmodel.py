@@ -1,9 +1,10 @@
+import hashlib
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,6 @@ from projquant.flatmodel import (
     Poly,
     PolyVectorField,
     TensorSection,
-    alternating_section,
     classical_casimir,
     divergence,
     killing_dual_basis,
@@ -27,7 +27,7 @@ from projquant.flatmodel import (
     random_polynomial,
     random_section,
     sl_basis,
-    symmetric_section,
+    young_section,
 )
 from projquant.flatmodel import algebra
 from projquant.flatmodel.algebra import killing_form, matrix_trace
@@ -244,7 +244,7 @@ def test_random_polynomial_draws_as_the_filtered_product():
 def test_lie_derivative_translation_kills_constants():
     m = 2
     field = proj_embedding([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
-    section = symmetric_section(m, 1, 0, Fraction(1, 2), {(0,): Poly.constant(m, 3)})
+    section = young_section(m, (1,), 0, Fraction(1, 2), {(0,): Poly.constant(m, 3)})
     assert not lie_derivative(field, section)
 
 
@@ -293,13 +293,13 @@ def test_lie_derivative_bracket_compatibility():
 
 def test_divergence_examples():
     m = 2
-    constant = symmetric_section(
-        m, 2, 0, Fraction(0), {(0, 0): Poly.constant(m, 5), (0, 1): Poly.constant(m, -1)}
+    constant = young_section(
+        m, (2,), 0, Fraction(0), {(0, 0): Poly.constant(m, 5), (0, 1): Poly.constant(m, -1)}
     )
     assert not divergence(constant)
 
     x1 = Poly.variable(m, 0)
-    quadratic = symmetric_section(m, 2, 0, Fraction(0), {(0, 0): x1 * x1})
+    quadratic = young_section(m, (2,), 0, Fraction(0), {(0, 0): x1 * x1})
     div = divergence(quadratic)
     assert div.component((0,)) == x1.scale(2)
     assert not div.component((1,))
@@ -358,18 +358,67 @@ def test_casimir_alternating_pair_rank_three():
         assert classical_casimir(section) == section.scale(alpha)
 
 
-def test_alternating_section_shape():
-    section = alternating_section(3, 0, Fraction(0), {(0, 1): Poly.constant(3, 2)})
-    assert section.component((1, 0)) == Poly.constant(3, -2)
-    assert not section.component((0, 0))
+def test_young_section_is_the_symmetric_rule_on_a_row_and_the_alternating_rule_on_a_column():
+    rng = random.Random(4)
+    for m in (2, 3, 4):
+        for k in (1, 2, 3):
+            data = {
+                index: random_polynomial(m, 1, rng)
+                for index in combinations_with_replacement(range(m), k)
+            }
+            symmetric = {perm: p for index, p in data.items() for perm in permutations(index)}
+            expected = TensorSection(m, k, 1, Fraction(1, 3), symmetric)
+            assert young_section(m, (k,), 1, Fraction(1, 3), data) == expected
+        data = {pair: random_polynomial(m, 1, rng) for pair in combinations(range(m), 2)}
+        alternating = {}
+        for (i, j), p in data.items():
+            alternating[(i, j)], alternating[(j, i)] = p, p.scale(-1)
+        expected = TensorSection(m, 2, 0, Fraction(2), alternating)
+        assert young_section(m, (1, 1), 0, Fraction(2), data) == expected
     with pytest.raises(ValueError):
-        alternating_section(3, 0, Fraction(0), {(1, 0): Poly.constant(3, 1)})
+        young_section(3, (2, 1), 0, Fraction(0), {(0, 1): Poly.constant(3, 1)})
+    with pytest.raises(ValueError):
+        young_section(3, (2,), 0, Fraction(0), {(0, 3): Poly.constant(3, 1)})
+    with pytest.raises(ValueError):
+        young_section(3, (1, 2), 0, Fraction(0), {(0, 0, 1): Poly.constant(3, 1)})
 
 
-def test_random_section_rejects_deep_shapes():
+def test_random_section_of_a_hook_is_an_eigensection():
     rng = random.Random(1)
-    with pytest.raises(ValueError):
-        random_section(3, (2, 1), 0, Fraction(0), 2, rng)
+    section = random_section(3, (2, 1), 0, Fraction(1, 3), 2, rng)
+    assert section.degree == 3 and section
+    # slots 0 and 2 form the first column, so swapping them changes the sign
+    for (a, b, c), p in section.coeffs.items():
+        assert section.component((c, b, a)) == -p
+    alpha = eigenvalue(canonicalize((2, 1), 3, 0, Fraction(1, 3)))(Fraction(1, 3))
+    assert classical_casimir(section) == section.scale(alpha)
+
+
+def test_random_section_rejects_a_diagram_deeper_than_the_rank():
+    # no semistandard filling exists, and a zero section would pass any eigenvalue check
+    rng = random.Random(1)
+    for rank, rows in ((2, (1, 1, 1)), (3, (2, 1, 1, 1)), (1, (1, 1))):
+        with pytest.raises(ValueError, match="no filling"):
+            random_section(rank, rows, 0, Fraction(0), 2, rng)
+
+
+def test_random_section_draws_what_the_row_and_column_constructors_drew():
+    # digest of the sections the one-row and two-box-column constructors gave for
+    # these draws before every diagram went through young_section
+    digest = hashlib.sha256()
+    for m in range(2, 6):
+        for rows in ((), (1,), (2,), (3,), (1, 1)):
+            for twist in (0, 1):
+                rng = random.Random(1000 * m + len(rows))
+                for _ in range(3):
+                    section = random_section(m, rows, twist, Fraction(1, 3), 2, rng)
+                    for index in sorted(section.coeffs):
+                        terms = sorted(section.coeffs[index].coeffs.items())
+                        digest.update(repr((index, terms)).encode())
+                digest.update(repr(rng.random()).encode())
+    assert digest.hexdigest() == (
+        "9831f2660a11285e2c066acfcfcefecc5379a91b0cb32799826e77187c5b3f70"
+    )
 
 
 def test_lift_plan_trivial():

@@ -1,5 +1,7 @@
 """The packed polynomial kernel against the tuple-keyed Fraction reference."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -88,6 +90,17 @@ def test_equal_polynomials_compare_and_hash_equal(pair):
     assert pa - pa == Poly.zero(nvars)
     assert hash(pa - pa) == hash(Poly.zero(nvars))
     assert (pa - pa).coeffs == {}
+
+
+@settings(max_examples=50, deadline=None)
+@given(poly_pairs())
+def test_copies_and_pickles_combine_with_the_original(pair):
+    nvars, a, b = pair
+    pa, pb = Poly(nvars, a), Poly(nvars, b)
+    for clone in (copy.copy(pa), copy.deepcopy(pa), pickle.loads(pickle.dumps(pa))):
+        assert clone == pa and hash(clone) == hash(pa)
+        assert clone + pb == pa + pb and clone * pb == pa * pb
+        assert not clone - pa
 
 
 def test_coeffs_view_reads_back_the_constructor_input():

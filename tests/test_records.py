@@ -107,9 +107,7 @@ def test_record_equality_hash_repr_and_immutability(name):
     assert record != args and record != None  # noqa: E711
     assert record != YoungDiagram((1,)) and BranchLabel((1,)) != YoungDiagram((1,))
 
-    clones = [copy.copy(record)]
-    if cls not in (PolyVectorField, DiffOperator):  # a deep-copied Poly loses its layout
-        clones += [copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
+    clones = [copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
     for clone in clones:
         assert type(clone) is cls and clone == record
 

@@ -45,11 +45,11 @@ PUBLIC_NAMES = {
         resonances resonances_for_symbols resonances_generic schur_eval symbol_rep
         zero_removal_embedding""",
     "projquant.flatmodel": """DiffOperator EquivarianceReport LiftNode LiftPlan Poly
-        PolyVectorField QuantCoefficients TensorSection alternating_section classical_casimir
-        compose contraction_operator density_quant_coefficients divergence killing_dual_basis
+        PolyVectorField QuantCoefficients TensorSection classical_casimir compose
+        contraction_operator density_quant_coefficients divergence killing_dual_basis
         lie_derivative lie_operator lift_plan matrix_bracket proj_embedding
         quantization_operator quantize_densities random_polynomial random_section sl_basis
-        solver_singular_deltas symmetric_section verify_equivariance""",
+        solver_singular_deltas verify_equivariance young_section""",
 }
 
 
