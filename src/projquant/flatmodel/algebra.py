@@ -14,18 +14,14 @@ with the Killing form kappa(X, Y) = 2(m+1) tr(XY); on a section attached to
 an irreducible label it acts by the scalar eigenvalue, which is what the
 exact tests downstream verify.
 
-The sum does not depend on the section, so it is expanded once per rank.
-With L_X = X . grad + sum_slots (-DX on the slot) + t div X, t = delta - n,
-it splits into a scalar part with terms in t^0, t^1, t^2, a one-slot part
-per (i <- j) with terms in t^0, t^1, and a two-slot part per
-(i, i' <- j, j').  The operator commutes with translations and with the
-Euler field, so after the exact sums every term is a constant: the kernels
-are {power of t: constant} for the scalar part and each one-slot entry and
-one constant per two-slot entry, a constant matrix on index tuples.  Each
-builder checks that once per rank and raises RuntimeError, naming the rank,
-the part and the term, on a term with a derivative or a non-constant
-coefficient.  Each kernel is cached per rank and built on first use, so a
-scalar section builds only the first.
+The sum does not depend on the section and commutes with translations and
+with the Euler field, so it is a constant matrix on index tuples, and on a
+section with k slots it has a closed form in t = delta - n: the scalar
+(m/2) t(t-1), 1 - t on the diagonal of each slot, and (id + swap)/2(m+1) on
+each ordered pair of distinct slots.  `classical_casimir` applies that.
+The derivation of the three parts from the Killing-dual field pairs, with
+the check that every surviving term is a constant, lives with the tests
+(`tests/support.py`), which compare it with the closed form rank by rank.
 """
 
 from __future__ import annotations
@@ -33,9 +29,10 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import lcm
 
-from .poly import Poly, poly_sum
+from .poly import Poly, poly_combination
 from .sections import PolyVectorField, TensorSection
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -135,168 +132,42 @@ def proj_embedding(h) -> PolyVectorField:
     return PolyVectorField(tuple(comps))
 
 
-@lru_cache(maxsize=None)
-def casimir_field_pairs(m: int) -> tuple[tuple[PolyVectorField, PolyVectorField], ...]:
-    """Embedded Killing-dual pairs (u, u+) of sl(m+1)."""
-    basis, dual = killing_dual_basis(m)
-    return tuple((proj_embedding(u), proj_embedding(ud)) for u, ud in zip(basis, dual))
-
-
-def _nonzero(polys) -> list[tuple[int, Poly]]:
-    return [(a, p) for a, p in enumerate(polys) if p]
-
-
-def _jacobian_entries(field: PolyVectorField) -> list[tuple[int, int, Poly]]:
-    """Nonzero (i, j, d_j X^i); the slot action of X sends value j to i by minus it."""
-    return [(i, j, g) for i, row in enumerate(field.jacobian) for j, g in enumerate(row) if g]
-
-
-def _constants(m: int, part: str, parts: dict) -> dict:
-    """{key: constant} of the nonzero sums in parts, keyed (key, derivative).
-
-    A derivative lists the sorted variables a term differentiates in.  The
-    Casimir commutes with translations and with the Euler field, so each
-    nonzero sum must be a constant with derivative (); anything else is a
-    fault in the construction and raises, naming the rank, part and term.
-    """
-    out = {}
-    for (key, derivative), p in parts.items():
-        p = poly_sum(m, p)
-        if not p:
-            continue
-        if derivative or p.total_degree():
-            raise RuntimeError(
-                f"Casimir kernel of rank {m}, {part} part: term {key} with derivative "
-                f"{derivative} and coefficient {p!r} is not a constant"
-            )
-        out[key] = p.eval((0,) * m)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _scalar_kernel(m: int) -> dict[int, Fraction]:
-    """The part of sum L_u L_u+ that acts on every component alike.
-
-    With D_X = X . grad and f_X = div X it is
-    sum_u D_u D_u+ + t ((D_u f_u+) + f_u+ D_u + f_u D_u+) + t^2 f_u f_u+,
-    reduced to {power of t: constant}.
-    """
-    parts = defaultdict(list)
-    for u, v in casimir_field_pairs(m):
-        for a, ua in _nonzero(u.components):
-            for b, vb in _nonzero(v.components):
-                parts[(0, tuple(sorted((a, b))))].append(ua * vb)
-                if v.jacobian[b][a]:
-                    parts[(0, (b,))].append(ua * v.jacobian[b][a])
-            if v.div:
-                parts[(1, (a,))].append(v.div * ua)
-                if v.div.diff(a):
-                    parts[(1, ())].append(ua * v.div.diff(a))
-        if u.div:
-            for a, va in _nonzero(v.components):
-                parts[(1, (a,))].append(u.div * va)
-            if v.div:
-                parts[(2, ())].append(u.div * v.div)
-    return _constants(m, "scalar", parts)
-
-
-@lru_cache(maxsize=None)
-def _slot_kernel(m: int) -> dict[int, tuple[tuple[int, dict[int, Fraction]], ...]]:
-    """The part of sum L_u L_u+ that moves one slot from value j to value i.
-
-    With M_X = -DX acting on the slot it is
-    sum_u (M_u+ D_u + M_u D_u+ + (D_u M_u+) + M_u M_u+) + t (f_u+ M_u + f_u M_u+),
-    keyed by j: the targets i with their {power of t: constant}.
-    """
-    parts = defaultdict(list)
-    for u, v in casimir_field_pairs(m):
-        v_entries = _jacobian_entries(v)
-        for i, j, g in v_entries:
-            for a, ua in _nonzero(u.components):
-                parts[((i, j, 0), (a,))].append(-(ua * g))
-                if g.diff(a):
-                    parts[((i, j, 0), ())].append(-(ua * g.diff(a)))
-            if u.div:
-                parts[((i, j, 1), ())].append(-(u.div * g))
-        for i, j, g in _jacobian_entries(u):
-            for a, va in _nonzero(v.components):
-                parts[((i, j, 0), (a,))].append(-(va * g))
-            if v.div:
-                parts[((i, j, 1), ())].append(-(v.div * g))
-            for k, j2, h in v_entries:
-                if k == j:
-                    parts[((i, j2, 0), ())].append(g * h)
-    by_source = defaultdict(lambda: defaultdict(dict))
-    for (i, j, power), c in _constants(m, "one-slot", parts).items():
-        by_source[j][i][power] = c
-    return {j: tuple(targets.items()) for j, targets in by_source.items()}
-
-
-@lru_cache(maxsize=None)
-def _pair_kernel(m: int) -> dict[tuple[int, int], tuple[tuple[tuple[int, int], Fraction], ...]]:
-    """The part of sum L_u L_u+ that moves two distinct slots at once.
-
-    It is sum_u M_u M_u+ with M_u on one slot and M_u+ on another, keyed by
-    the source values (j, j'): the targets (i, i') with their constants.
-    """
-    parts = defaultdict(list)
-    for u, v in casimir_field_pairs(m):
-        v_entries = _jacobian_entries(v)
-        for i, j, g in _jacobian_entries(u):
-            for i2, j2, h in v_entries:
-                parts[((j, j2, i, i2), ())].append(g * h)
-    by_source = defaultdict(list)
-    for (j, j2, i, i2), c in _constants(m, "two-slot", parts).items():
-        by_source[(j, j2)].append(((i, i2), c))
-    return {source: tuple(targets) for source, targets in by_source.items()}
-
-
 def classical_casimir(section: TensorSection) -> TensorSection:
     """Casimir operator sum_u L_u L_u+ along the projective embedding, exactly.
 
-    Applies the three constant kernels of the rank, built from the cached
-    Killing-dual field pairs on first use and cached per rank: the scalar
-    one to every component, the one-slot one (i <- j) on every slot, and
-    the two-slot one (i, i' <- j, j') on every ordered pair of distinct
-    slots.  The powers of t = delta - n in the first two are summed at the
-    section's t.  Each builder checks once per rank that every surviving
-    term is a constant with no derivative and raises RuntimeError otherwise.
-    A section with fewer than two slots builds no two-slot kernel, a scalar
-    one no one-slot kernel either.  Independent of the basis choice; the
-    result equals the sum of iterated Lie derivatives exactly.
+    A constant matrix on index tuples: for k slots, rank m and t = delta - n,
+
+        C(s)^I = [(m/2) t(t-1) + k(1-t) + k(k-1)/2(m+1)] s^I
+                 + (1/(m+1)) sum_{a<b} s^(I with slots a and b swapped),
+
+    the scalar part, 1 - t from each slot, and (id + swap)/2(m+1) on each
+    of the k(k-1) ordered pairs of slots.  Each component costs one scaled
+    copy and k(k-1)/2 swaps, summed as integer numerators over one
+    denominator.  The derivation from the Killing-dual field pairs, with its
+    check that every term is a constant, is in tests/support.py; the tests
+    compare it with this form at m = 2..8, and this operator with the sum of
+    iterated Lie derivatives.  A rank below 2 raises ValueError.
     """
-    m = section.rank
+    m, k = section.rank, section.degree
+    if m < 2:
+        raise ValueError("rank must be at least 2")
     t = section.weight - section.twist
-    scalar = sum(c * t**power for power, c in _scalar_kernel(m).items())
-    slots = range(section.degree)
-    one_slot = {
-        j: [(i, sum(c * t**power for power, c in powers.items())) for i, powers in targets]
-        for j, targets in (_slot_kernel(m) if section.degree else {}).items()
-    }
-    two_slot = _pair_kernel(m) if section.degree > 1 else {}
-    # every constant as an int over one denominator, so the sums below are int sums
-    constants = [c for kernel in (one_slot, two_slot) for v in kernel.values() for _, c in v]
-    den = lcm(scalar.denominator, *(c.denominator for c in constants))
-    scalar = scalar.numerator * den // scalar.denominator
-    one_slot, two_slot = (
-        {j: [(i, c.numerator * den // c.denominator) for i, c in v] for j, v in kernel.items()}
-        for kernel in (one_slot, two_slot)
-    )
-    slot_pairs = [(s, s2) for s in slots for s2 in slots if s != s2]
-    parts: dict[tuple[int, ...], list[Poly]] = defaultdict(list)
+    scalar = Fraction(m, 2) * t * (t - 1) + k * (1 - t) + Fraction(k * (k - 1), 2 * (m + 1))
+    den = lcm(scalar.denominator, m + 1)
+    diagonal = scalar.numerator * (den // scalar.denominator)
+    swap = den // (m + 1)
+    slot_pairs = list(combinations(range(k), 2))
+    parts: dict[tuple[int, ...], list[tuple[int, Poly]]] = defaultdict(list)
     for index, p in section.coeffs.items():
-        # the constants by target, summed before they scale p
-        factors = defaultdict(int, {index: scalar})
-        for s in slots:
-            for i, c in one_slot.get(index[s], ()):
-                factors[index[:s] + (i,) + index[s + 1 :]] += c
-        for s, s2 in slot_pairs:
-            for (i, i2), c in two_slot.get((index[s], index[s2]), ()):
-                target = list(index)
-                target[s], target[s2] = i, i2
-                factors[tuple(target)] += c
-        for target, c in factors.items():
-            if c:
-                parts[target].append(p.scale(Fraction(c, den)))
-    out = {index: poly_sum(m, polys) for index, polys in parts.items()}
-    return TensorSection(m, section.degree, section.twist, section.weight, out)
+        own = diagonal
+        for a, b in slot_pairs:
+            i, j = index[a], index[b]
+            if i == j:
+                own += swap
+            else:
+                swapped = index[:a] + (j,) + index[a + 1 : b] + (i,) + index[b + 1 :]
+                parts[swapped].append((swap, p))
+        if own:
+            parts[index].append((own, p))
+    out = {index: poly_combination(m, terms, den) for index, terms in parts.items()}
+    return TensorSection(m, k, section.twist, section.weight, out)

@@ -96,30 +96,40 @@ def _poly(layout: _Layout, terms: dict[int, int], den: int) -> "Poly":
 
 def poly_sum(nvars: int, polys: Iterable["Poly"]) -> "Poly":
     """Sum of polynomials in nvars variables, merged into one dict."""
-    return _sum(_layout(nvars), list(polys))
+    return _combine(_layout(nvars), [(1, p) for p in polys])
 
 
-def _sum(layout: _Layout, polys: list["Poly"]) -> "Poly":
-    den = 1
-    for p in polys:
+def poly_combination(nvars: int, terms: Iterable[tuple[int, "Poly"]], den: int = 1) -> "Poly":
+    """sum c * p over the (int c, Poly p) terms, divided by den > 0."""
+    return _combine(_layout(nvars), list(terms), den)
+
+
+def _combine(layout: _Layout, terms: list[tuple[int, "Poly"]], den: int = 1) -> "Poly":
+    """The one merge loop: every c * p scaled to a common denominator and
+    summed into one dict, then reduced over that denominator times den."""
+    if not terms:
+        return layout.zero
+    common = 1
+    for _, p in terms:
         layout.require(p)
-        if p._den != den:
-            den = lcm(den, p._den)
+        if p._den != common:
+            common = lcm(common, p._den)
     out: dict[int, int] = {}
-    for p in polys:
-        f = den // p._den
-        terms = p._terms if f == 1 else {k: v * f for k, v in p._terms.items()}
+    for c, p in terms:
+        f = c * (common // p._den)
+        if not f:
+            continue
         if not out:
-            out = dict(terms)
+            out = dict(p._terms) if f == 1 else {k: v * f for k, v in p._terms.items()}
             continue
         get = out.get
-        for k, v in terms.items():
-            s = get(k, 0) + v
+        for k, v in p._terms.items():
+            s = get(k, 0) + v * f
             if s:
                 out[k] = s
             else:
                 del out[k]
-    return _poly(layout, out, den)
+    return _poly(layout, out, common * den)
 
 
 class Poly:
@@ -203,12 +213,12 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return _sum(self._layout, [self, other])
+        return _combine(self._layout, [(1, self), (1, other)])
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return _sum(self._layout, [self, -other])
+        return _combine(self._layout, [(1, self), (-1, other)])
 
     def __neg__(self) -> "Poly":
         return _poly(self._layout, {k: -v for k, v in self._terms.items()}, self._den)

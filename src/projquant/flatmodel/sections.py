@@ -24,7 +24,7 @@ from itertools import chain, combinations, combinations_with_replacement, permut
 
 from ..diagrams import YoungDiagram
 from ..records import Record
-from .poly import Poly, poly_sum
+from .poly import Poly, poly_combination, poly_sum
 
 Index = tuple[int, ...]
 
@@ -162,7 +162,7 @@ def young_section(
     for perms in product(*map(permutations, columns)):
         order = [source for _, source in sorted(zip(chain(*columns), chain(*perms)))]
         moves.append((order, (-1) ** sum(a > b for a, b in combinations(order, 2))))
-    parts: dict[Index, list[Poly]] = defaultdict(list)
+    parts: dict[Index, list[tuple[int, Poly]]] = defaultdict(list)
     for index, p in data.items():
         if len(index) != degree or not all(0 <= i < rank for i in index):
             raise ValueError(f"key {index} is not {degree} indices below {rank}")
@@ -170,8 +170,8 @@ def young_section(
         for spread in product(*segments):
             spread = sum(spread, ())
             for order, sign in moves:
-                parts[tuple(spread[o] for o in order)].append(p.scale(sign))
-    out = {index: poly_sum(rank, terms) for index, terms in parts.items()}
+                parts[tuple(spread[o] for o in order)].append((sign, p))
+    out = {index: poly_combination(rank, terms) for index, terms in parts.items()}
     return TensorSection(rank, degree, twist, weight, out)
 
 

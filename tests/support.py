@@ -6,15 +6,25 @@ independent of the alternant-ratio evaluation it is used to check.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, prod
 
 import pytest
 from hypothesis import strategies as st
 
 from projquant import EigenvaluePoly, IrrepLabel, ResonantWeight, canonicalize
-from projquant.flatmodel import TensorSection, density_quant_coefficients, lie_derivative
-from projquant.flatmodel.algebra import casimir_field_pairs
+from projquant.flatmodel import (
+    Poly,
+    PolyVectorField,
+    TensorSection,
+    density_quant_coefficients,
+    killing_dual_basis,
+    lie_derivative,
+    proj_embedding,
+)
+from projquant.flatmodel.poly import poly_sum
 from projquant.flatmodel.quantize import _equations
 from projquant.linalg import LinearSystem, det
 
@@ -167,15 +177,150 @@ def eigenvalue_by_double_sum(label: IrrepLabel) -> EigenvaluePoly:
     )
 
 
+@lru_cache(maxsize=None)
+def casimir_field_pairs(m: int) -> tuple[tuple[PolyVectorField, PolyVectorField], ...]:
+    """Embedded Killing-dual pairs (u, u+) of sl(m+1)."""
+    basis, dual = killing_dual_basis(m)
+    return tuple((proj_embedding(u), proj_embedding(ud)) for u, ud in zip(basis, dual))
+
+
 def direct_casimir(section: TensorSection) -> TensorSection:
     """sum_u L_u L_u+ over the Killing-dual field pairs, by 2 m(m+2) Lie
-    derivatives of the section itself: the reference for the kernels that
-    `classical_casimir` builds once per rank."""
+    derivatives of the section itself: the reference for the closed form
+    that `classical_casimir` applies."""
     m = section.rank
     total = TensorSection(m, section.degree, section.twist, section.weight)
     for outer, inner in casimir_field_pairs(m):
         total = total + lie_derivative(outer, lie_derivative(inner, section))
     return total
+
+
+# The derivation of the flat Casimir's closed form.  The sum does not depend
+# on the section, so it is expanded once per rank.  With
+# L_X = X . grad + sum_slots (-DX on the slot) + t div X, t = delta - n, it
+# splits into a scalar part with terms in t^0, t^1, t^2, a one-slot part per
+# (i <- j) with terms in t^0, t^1, and a two-slot part per (i, i' <- j, j').
+# The operator commutes with translations and with the Euler field, so after
+# the exact sums every term is a constant: the kernels are {power of t:
+# constant} for the scalar part and each one-slot entry and one constant per
+# two-slot entry.  Each builder checks that and raises RuntimeError, naming
+# the rank, the part and the term, on a term with a derivative or a
+# non-constant coefficient.
+
+
+def derived_casimir_kernels(m: int) -> tuple[dict, dict, dict]:
+    """The scalar, one-slot and two-slot kernels of rank m, derived from the
+    Killing-dual field pairs; the tests compare them with the closed form."""
+    return _scalar_kernel(m), _slot_kernel(m), _pair_kernel(m)
+
+
+def _nonzero(polys) -> list[tuple[int, Poly]]:
+    return [(a, p) for a, p in enumerate(polys) if p]
+
+
+def _jacobian_entries(field: PolyVectorField) -> list[tuple[int, int, Poly]]:
+    """Nonzero (i, j, d_j X^i); the slot action of X sends value j to i by minus it."""
+    return [(i, j, g) for i, row in enumerate(field.jacobian) for j, g in enumerate(row) if g]
+
+
+def _constants(m: int, part: str, parts: dict) -> dict:
+    """{key: constant} of the nonzero sums in parts, keyed (key, derivative).
+
+    A derivative lists the sorted variables a term differentiates in.  The
+    Casimir commutes with translations and with the Euler field, so each
+    nonzero sum must be a constant with derivative (); anything else is a
+    fault in the construction and raises, naming the rank, part and term.
+    """
+    out = {}
+    for (key, derivative), p in parts.items():
+        p = poly_sum(m, p)
+        if not p:
+            continue
+        if derivative or p.total_degree():
+            raise RuntimeError(
+                f"Casimir kernel of rank {m}, {part} part: term {key} with derivative "
+                f"{derivative} and coefficient {p!r} is not a constant"
+            )
+        out[key] = p.eval((0,) * m)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _scalar_kernel(m: int) -> dict[int, Fraction]:
+    """The part of sum L_u L_u+ that acts on every component alike.
+
+    With D_X = X . grad and f_X = div X it is
+    sum_u D_u D_u+ + t ((D_u f_u+) + f_u+ D_u + f_u D_u+) + t^2 f_u f_u+,
+    reduced to {power of t: constant}.
+    """
+    parts = defaultdict(list)
+    for u, v in casimir_field_pairs(m):
+        for a, ua in _nonzero(u.components):
+            for b, vb in _nonzero(v.components):
+                parts[(0, tuple(sorted((a, b))))].append(ua * vb)
+                if v.jacobian[b][a]:
+                    parts[(0, (b,))].append(ua * v.jacobian[b][a])
+            if v.div:
+                parts[(1, (a,))].append(v.div * ua)
+                if v.div.diff(a):
+                    parts[(1, ())].append(ua * v.div.diff(a))
+        if u.div:
+            for a, va in _nonzero(v.components):
+                parts[(1, (a,))].append(u.div * va)
+            if v.div:
+                parts[(2, ())].append(u.div * v.div)
+    return _constants(m, "scalar", parts)
+
+
+@lru_cache(maxsize=None)
+def _slot_kernel(m: int) -> dict[int, tuple[tuple[int, dict[int, Fraction]], ...]]:
+    """The part of sum L_u L_u+ that moves one slot from value j to value i.
+
+    With M_X = -DX acting on the slot it is
+    sum_u (M_u+ D_u + M_u D_u+ + (D_u M_u+) + M_u M_u+) + t (f_u+ M_u + f_u M_u+),
+    keyed by j: the targets i with their {power of t: constant}.
+    """
+    parts = defaultdict(list)
+    for u, v in casimir_field_pairs(m):
+        v_entries = _jacobian_entries(v)
+        for i, j, g in v_entries:
+            for a, ua in _nonzero(u.components):
+                parts[((i, j, 0), (a,))].append(-(ua * g))
+                if g.diff(a):
+                    parts[((i, j, 0), ())].append(-(ua * g.diff(a)))
+            if u.div:
+                parts[((i, j, 1), ())].append(-(u.div * g))
+        for i, j, g in _jacobian_entries(u):
+            for a, va in _nonzero(v.components):
+                parts[((i, j, 0), (a,))].append(-(va * g))
+            if v.div:
+                parts[((i, j, 1), ())].append(-(v.div * g))
+            for k, j2, h in v_entries:
+                if k == j:
+                    parts[((i, j2, 0), ())].append(g * h)
+    by_source = defaultdict(lambda: defaultdict(dict))
+    for (i, j, power), c in _constants(m, "one-slot", parts).items():
+        by_source[j][i][power] = c
+    return {j: tuple(targets.items()) for j, targets in by_source.items()}
+
+
+@lru_cache(maxsize=None)
+def _pair_kernel(m: int) -> dict[tuple[int, int], tuple[tuple[tuple[int, int], Fraction], ...]]:
+    """The part of sum L_u L_u+ that moves two distinct slots at once.
+
+    It is sum_u M_u M_u+ with M_u on one slot and M_u+ on another, keyed by
+    the source values (j, j'): the targets (i, i') with their constants.
+    """
+    parts = defaultdict(list)
+    for u, v in casimir_field_pairs(m):
+        v_entries = _jacobian_entries(v)
+        for i, j, g in _jacobian_entries(u):
+            for i2, j2, h in v_entries:
+                parts[((j, j2, i, i2), ())].append(g * h)
+    by_source = defaultdict(list)
+    for (j, j2, i, i2), c in _constants(m, "two-slot", parts).items():
+        by_source[(j, j2)].append(((i, i2), c))
+    return {source: tuple(targets) for source, targets in by_source.items()}
 
 
 def random_diagram(rng, max_size: int, max_depth: int) -> Rows:

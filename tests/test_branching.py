@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -17,6 +19,8 @@ from projquant import (
     schur_eval,
     zero_removal_embedding,
 )
+from projquant.flatmodel import Poly, young_section
+from projquant.linalg import LinearSystem
 from support import random_canonical_label, random_point
 
 
@@ -156,3 +160,54 @@ def test_multiplicity_free():
 def test_branch_requires_child_rank_two():
     with pytest.raises(ValueError):
         branch_labels(canonicalize((1,), 2, 0, 0))
+
+
+def _diagrams(max_size: int, max_depth: int):
+    """Every diagram with at most max_size boxes and max_depth rows."""
+
+    def rows_below(n, largest):
+        if n == 0:
+            yield ()
+        for first in range(min(n, largest), 0, -1):
+            for rest in rows_below(n - first, first):
+                yield (first,) + rest
+
+    every = (rows for n in range(max_size + 1) for rows in rows_below(n, n))
+    return [rows for rows in every if len(rows) <= max_depth]
+
+
+def _young_image_rank(rank: int, rows: tuple[int, ...], content: tuple[int, ...]) -> int:
+    """Dimension over Q of the Young image of the arrangements of one content.
+
+    The symmetrizer spreads each key over the rearrangements within every
+    row first, so keys with sorted row segments already span the image.
+    """
+    arrangements = sorted(set(permutations(content)))
+    column = {index: c for c, index in enumerate(arrangements)}
+    starts = [sum(rows[:r]) for r in range(len(rows))]
+    system = LinearSystem(len(arrangements))
+    for index in arrangements:
+        if any(list(index[s : s + r]) != sorted(index[s : s + r]) for s, r in zip(starts, rows)):
+            continue
+        image = young_section(rank, rows, 0, 0, {index: Poly.constant(rank, 1)}).coeffs
+        row = [0] * len(arrangements)
+        for key, p in image.items():
+            row[column[key]] = p.eval((0,) * rank)
+        system.add(row, 0)
+    return system.rank
+
+
+def test_young_image_at_the_next_rank_grades_as_the_branching_rule():
+    # the tensor side of GL(m+1) -> GL(m): grade the rank-(m+1) Young image by
+    # how many slots hold the last index m; grade j must have the dimension of
+    # the components with j boxes removed (full columns each hold one m)
+    for m, max_size in ((2, 5), (3, 5), (4, 4)):
+        for rows in _diagrams(max_size, m + 1):
+            parent = canonicalize(rows, m + 1, 0, 0)
+            grades = Counter()
+            for content in combinations_with_replacement(range(m + 1), sum(rows)):
+                grades[content.count(m)] += _young_image_rank(m + 1, rows, content)
+            expected = Counter()
+            for q in branch_labels(parent):
+                expected[q.norm + parent.twist] += dimension(component(parent, q))
+            assert +grades == expected, (m, rows)

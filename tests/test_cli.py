@@ -122,6 +122,17 @@ def test_casimir_check(capsys):
     assert payload["trials"] == 2
 
 
+def test_casimir_check_stays_fast_at_a_large_rank(capsys):
+    start = time.perf_counter()
+    code, payload = run_json(
+        capsys,
+        "casimir-check", "--m", "40", "--diagram", "2", "--max-degree", "0", "--trials", "1",
+    )  # fmt: skip
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert payload["matches"] is True
+
+
 @pytest.mark.parametrize("seed", [9, 11, 12, 25])
 def test_casimir_check_redraws_the_zero_section(capsys, monkeypatch, seed):
     # these seeds draw the zero section first, and it satisfies any eigenvalue

@@ -29,9 +29,9 @@ from projquant.flatmodel import (
     sl_basis,
     young_section,
 )
-from projquant.flatmodel import algebra
 from projquant.flatmodel.algebra import killing_form, matrix_trace
-from support import direct_casimir, invert_matrix
+import support
+from support import derived_casimir_kernels, direct_casimir, invert_matrix
 
 
 def euler_field(m):
@@ -172,57 +172,65 @@ def test_casimir_rejects_rank_below_two():
             classical_casimir(TensorSection(m, 0, 0, 0))
 
 
-def test_scalar_section_builds_only_the_scalar_kernel():
+def test_casimir_derives_nothing_at_a_large_rank():
+    # the closed form needs no Killing dual, so a 3-slot section at m = 40 builds none
     script = (
         "from projquant.flatmodel import Poly, TensorSection, classical_casimir\n"
         "from projquant.flatmodel import algebra\n"
-        "classical_casimir(TensorSection(3, 0, 0, 0, {(): Poly.constant(3, 1)}))\n"
-        "print([k.cache_info().currsize for k in "
-        "(algebra._scalar_kernel, algebra._slot_kernel, algebra._pair_kernel)])\n"
+        "section = TensorSection(40, 3, 0, 0, {(0, 1, 39): Poly.variable(40, 2)})\n"
+        "assert classical_casimir(section)\n"
+        "print(algebra.killing_dual_basis.cache_info().currsize)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(projquant.__file__).parents[1]))
     run = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
-    assert run.stdout == "[1, 0, 0]\n", run.stderr
+    assert run.stdout == "0\n", run.stderr
 
 
-def _kernel_from(monkeypatch, pairs):
-    """Point the kernel builders, uncached, at the given (u, u+) field pairs."""
-    monkeypatch.setattr(algebra, "casimir_field_pairs", lambda m: pairs)
-    for kernel in (algebra._scalar_kernel, algebra._slot_kernel, algebra._pair_kernel):
-        monkeypatch.setattr(algebra, kernel.__name__, kernel.__wrapped__)
+def _kernels_from(monkeypatch, pairs):
+    """Point the derivation, uncached, at the given (u, u+) field pairs."""
+    monkeypatch.setattr(support, "casimir_field_pairs", lambda m: pairs)
+    for kernel in (support._scalar_kernel, support._slot_kernel, support._pair_kernel):
+        monkeypatch.setattr(support, kernel.__name__, kernel.__wrapped__)
 
 
 def test_casimir_kernel_rejects_a_term_with_a_derivative(monkeypatch):
     # u = u+ = d_0 leaves the scalar term d_0 d_0 with coefficient 1
     translation = PolyVectorField((Poly.constant(2, 1), Poly.zero(2)))
-    _kernel_from(monkeypatch, [(translation, translation)])
-    section = TensorSection(2, 0, 0, 0, {(): Poly.variable(2, 0)})
+    _kernels_from(monkeypatch, [(translation, translation)])
     with pytest.raises(
         RuntimeError, match=r"rank 2, scalar part: term 0 with derivative \(0, 0\)"
     ):
-        classical_casimir(section)
+        derived_casimir_kernels(2)
 
 
 def test_casimir_kernel_rejects_a_non_constant_coefficient(monkeypatch):
     # u = u+ = x_0^2 d_0: M_u M_u+ on two slots is 4 x_0^2 at (0, 0 <- 0, 0)
     x0 = Poly.variable(2, 0)
     field = PolyVectorField((x0 * x0, Poly.zero(2)))
-    _kernel_from(monkeypatch, [(field, field)])
+    _kernels_from(monkeypatch, [(field, field)])
     with pytest.raises(
         RuntimeError,
         match=r"rank 2, two-slot part: term \(0, 0, 0, 0\) with derivative \(\) "
         r"and coefficient Poly\(4\*x0\^2\) is not a constant",
     ):
-        algebra._pair_kernel(2)
+        support._pair_kernel(2)
 
 
 def test_casimir_kernels_are_constant_matrices():
-    for m in range(2, 6):
-        assert algebra._scalar_kernel(m) == {1: Fraction(-m, 2), 2: Fraction(m, 2)}
-        for j, targets in algebra._slot_kernel(m).items():
-            assert targets == ((j, {0: 1, 1: -1}),)
+    # and they are the closed form classical_casimir applies: (m/2) t(t-1),
+    # 1 - t on each slot's diagonal, (id + swap)/2(m+1) on each ordered pair
+    # of slots; m = 2..8 covers every rank criterion 9 uses
+    for m in range(2, 9):
+        half = Fraction(1, 2 * (m + 1))
+        pair = {(j, j2): {(j, j2): half} for j in range(m) for j2 in range(m)}
+        for (j, j2), targets in pair.items():
+            targets[(j2, j)] = targets.get((j2, j), 0) + half
+        scalar, one_slot, two_slot = derived_casimir_kernels(m)
+        assert scalar == {1: Fraction(-m, 2), 2: Fraction(m, 2)}
+        assert one_slot == {j: ((j, {0: 1, 1: -1}),) for j in range(m)}
+        assert {source: dict(targets) for source, targets in two_slot.items()} == pair
 
 
 def test_random_polynomial_draws_as_the_filtered_product():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projquant.flatmodel import Poly
+from projquant.flatmodel.poly import poly_combination, poly_sum
 
 from support import RefPoly
 
@@ -66,6 +67,23 @@ def test_kernel_matches_reference(pair, factor):
     point = tuple(Fraction(i + 2, 3) for i in range(nvars))
     assert pa.eval(point) == ra.eval(point)
     assert (pa * pb).eval(point) == (ra * rb).eval(point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    poly_pairs(),
+    st.lists(st.integers(min_value=-4, max_value=4), max_size=5),
+    st.integers(min_value=1, max_value=12),
+)
+def test_integer_combination_matches_reference(pair, factors, den):
+    nvars, a, b = pair
+    polys = [Poly(nvars, a), Poly(nvars, b)] * 3
+    refs = [RefPoly(nvars, a), RefPoly(nvars, b)] * 3
+    expected = RefPoly(nvars)
+    for c, r in zip(factors, refs):
+        expected = expected + r.scale(Fraction(c, den))
+    _same(poly_combination(nvars, zip(factors, polys), den), expected)
+    _same(poly_sum(nvars, polys[: len(factors)]), sum(refs[: len(factors)], RefPoly(nvars)))
 
 
 @settings(max_examples=100, deadline=None)

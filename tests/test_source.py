@@ -111,6 +111,6 @@ def test_flat_casimir_side_imports_nothing_from_casimir(module):
     # operator must be built without it
     path = Path(projquant.__file__).parent / "flatmodel" / f"{module}.py"
     names = set(_imported_names(ast.parse(path.read_text()), "projquant.flatmodel"))
-    assert "projquant.flatmodel.poly.poly_sum" in names  # the resolution works
+    assert "projquant.flatmodel.poly.Poly" in names  # the resolution works
     bad = {n for n in names if n == "projquant.casimir" or n.startswith("projquant.casimir.")}
     assert not bad, bad
