@@ -126,14 +126,8 @@ def contraction_operator(
 ) -> DiffOperator:
     """The operator f -> <T, grad^d f> pairing every slot with a derivative."""
     m = tensor.rank
-    out: dict[MultiIndex, Poly] = {}
-    for index in product(range(m), repeat=tensor.degree):
-        p = tensor.coeffs.get(index)
-        if p:
-            beta = [0] * m
-            for i in index:
-                beta[i] += 1
-            key = tuple(beta)
-            s = out.get(key)
-            out[key] = p if s is None else s + p
+    parts: dict[MultiIndex, list[Poly]] = defaultdict(list)
+    for index, p in tensor.coeffs.items():
+        parts[tuple(index.count(i) for i in range(m))].append(p)
+    out = {beta: poly_sum(m, terms) for beta, terms in parts.items()}
     return DiffOperator(m, out, weight_in, weight_out)

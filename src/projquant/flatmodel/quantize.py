@@ -6,13 +6,12 @@ The ansatz is the constant-coefficient divergence form
 
 Translation and linear equivariance hold for every choice of the c_l, so
 the defining conditions come from the quadratic generators alone.  One
-symbol and one generator suffice: for the symbol x_0^d d_0^k and the
-quadratic field of direction 0, the conditions on c_1..c_k are min(d + 1, k)
-independent equations at a generic weight.  Degree d = k - 1 gives a square
-k x k system, solved exactly; degree k gives held-out equations the solution
-must also satisfy.  The solve degenerates (rank drop or inconsistency)
-precisely at the resonant weights, the zeros of the factors
-(m + 2k - j)/(m + 1) - delta, j = 1..k, of the Lecomte-Ovsienko closed form.
+symbol and one generator suffice: the symbol x_0^k d_0^k and the quadratic
+field of direction 0 give k equations in c_1..c_k, of rank k at a generic
+weight, and one exact elimination classifies them.  The system
+degenerates (rank drop or inconsistency) precisely at the resonant weights,
+the zeros of the factors (m + 2k - j)/(m + 1) - delta, j = 1..k, of the
+Lecomte-Ovsienko closed form.
 """
 
 from __future__ import annotations
@@ -95,10 +94,10 @@ def _residual_family(m, lam, mu, symbol):
     ]
 
 
-def _equations(m, k, lam, mu, degree):
-    """Equations sum_{l>=1} c_l row[l-1] = rhs from the symbol x_0^degree d_0^k,
+def _equations(m, k, lam, mu):
+    """Equations sum_{l>=1} c_l row[l-1] = rhs from the symbol x_0^k d_0^k,
     keyed by the (derivative, monomial) term of the residual they come from."""
-    monomial = Poly.monomial(m, (degree,) + (0,) * (m - 1))
+    monomial = Poly.monomial(m, (k,) + (0,) * (m - 1))
     symbol = TensorSection(m, k, 0, mu - lam, {(0,) * k: monomial})
     rows = {}  # (beta, monomial) -> its coefficient in O_0..O_k
     for level, op in enumerate(_residual_family(m, lam, mu, symbol)):
@@ -111,10 +110,9 @@ def _equations(m, k, lam, mu, degree):
 def density_quant_coefficients(m, k, lam, mu) -> QuantCoefficients:
     """Solve the quadratic-generator conditions exactly at fixed weights.
 
-    The k unknowns c_1..c_k come from the square system of the symbol
-    x_0^(k-1) d_0^k; the equations of x_0^k d_0^k are held out and checked.
-    Raises ResonantWeight when the system is singular (rank-deficient or
-    inconsistent) or the held-out check fails; this happens exactly at the
+    Every equation of the symbol x_0^k d_0^k goes through one elimination,
+    whose unique solution is c_1..c_k.  Raises ResonantWeight when the
+    system is inconsistent or of rank below k; this happens exactly at the
     resonant weight shifts.
     """
     lam = Fraction(lam)
@@ -137,18 +135,13 @@ def density_quant_coefficients(m, k, lam, mu) -> QuantCoefficients:
         return ResonantWeight(f"quantization {problem} at delta = {delta}: {cause}", delta)
 
     system = LinearSystem(k)
-    for row, rhs in _equations(m, k, lam, mu, k - 1).values():
+    for row, rhs in _equations(m, k, lam, mu).values():
         system.add(row, rhs)
         if system.inconsistent:
             raise resonant("system inconsistent")
     solution = system.solve()
     if solution is None:
         raise resonant("system rank-deficient")
-    # residuals of the held-out degree-k symbol must vanish identically
-    for row, rhs in _equations(m, k, lam, mu, k).values():
-        lhs = sum(c * x for c, x in zip(solution, row))
-        if lhs != rhs:
-            raise resonant("conditions unsatisfiable")
     return QuantCoefficients((Fraction(1),) + tuple(solution))
 
 
@@ -173,8 +166,8 @@ def solver_singular_deltas(m: int, k: int, lam=Fraction(1, 2)) -> tuple[Fraction
 
     They are the zeros of the factors (m + 2k - j)/(m + 1) - delta,
     j = 1..k, of the Lecomte-Ovsienko closed form.  The set does not depend
-    on `lam`; the tests prove, from the determinant of the solve's own
-    square system, that the solve degenerates exactly there.
+    on `lam`; the tests prove, from the determinant of k independent rows
+    of the solve's own system, that the solve degenerates exactly there.
     """
     return tuple(sorted(Fraction(m + 2 * k - j, m + 1) for j in range(1, k + 1)))
 

@@ -258,11 +258,8 @@ def divergence(section: TensorSection) -> TensorSection:
     if section.degree < 1:
         raise ValueError("divergence needs at least one slot")
     m = section.rank
-    coeffs = section.coeffs
-    out = {
-        index: poly_sum(
-            m, [coeffs[(j,) + index].diff(j) for j in range(m) if (j,) + index in coeffs]
-        )
-        for index in product(range(m), repeat=section.degree - 1)
-    }
+    parts: dict[Index, list[Poly]] = defaultdict(list)
+    for index, p in section.coeffs.items():
+        parts[index[1:]].append(p.diff(index[0]))
+    out = {index: poly_sum(m, terms) for index, terms in parts.items()}
     return TensorSection(m, section.degree - 1, section.twist, section.weight, out)

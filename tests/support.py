@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb, prod
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from projquant import EigenvaluePoly, IrrepLabel, ResonantWeight, canonicalize
 from projquant.flatmodel import (
+    DiffOperator,
     Poly,
     PolyVectorField,
     TensorSection,
@@ -108,8 +110,8 @@ def closed_form_coefficients(m: int, k: int, lam, mu) -> tuple[Fraction, ...]:
 
 
 def assert_solve_singular_exactly_on_formula(m: int, k: int, lam) -> tuple[Fraction, ...]:
-    """Prove from the solve's own square system that the order-k solve at
-    rank m and weight lam degenerates exactly at delta = (m + 2k - j)/(m + 1),
+    """Prove from the solve's own equations that the order-k solve at rank m
+    and weight lam degenerates exactly at delta = (m + 2k - j)/(m + 1),
     j = 1..k, and return those shifts in ascending order.
 
     Every entry of the equations is affine in delta by construction (each
@@ -119,18 +121,18 @@ def assert_solve_singular_exactly_on_formula(m: int, k: int, lam) -> tuple[Fract
     C * prod_j (delta - r_j) at k + 2 points makes it that polynomial.  For
     any other row, residual * D has degree <= k + 1, and the solve succeeding
     at the same k + 2 points makes it vanish identically: off the roots every
-    equation, held-out ones included, holds.  At each root the solve must fail.
+    equation holds.  At each root the solve must fail.  The checks raise
+    AssertionError explicitly, so they also run under python -O.
     """
     lam = Fraction(lam)
     roots = [Fraction(m + 2 * k - j, m + 1) for j in range(1, k + 1)]
-    # part 0 holds the rows the solve eliminates, part 1 its held-out rows
-    rows = {}  # (part, key) -> (entries at delta = 0, slope in delta), rhs last
-    for part, degree in enumerate((k - 1, k)):
-        eqs = [_equations(m, k, lam, lam + d, degree) for d in (0, 1, 2)]
-        for key in set().union(*eqs):
-            a, b, c = ([*e[key][0], e[key][1]] if key in e else [0] * (k + 1) for e in eqs)
-            assert all(z - y == y - x for x, y, z in zip(a, b, c)), f"{key} not affine"
-            rows[(part, key)] = (a, [y - x for x, y in zip(a, b)])
+    eqs = [_equations(m, k, lam, lam + d) for d in (0, 1, 2)]
+    rows = {}  # key -> (entries at delta = 0, slope in delta), rhs last
+    for key in set().union(*eqs):
+        a, b, c = ([*e[key][0], e[key][1]] if key in e else [0] * (k + 1) for e in eqs)
+        if any(z - y != y - x for x, y, z in zip(a, b, c)):
+            raise AssertionError(f"{key} not affine")
+        rows[key] = (a, [y - x for x, y in zip(a, b)])
 
     def row_at(delta, key):
         const, slope = rows[key]
@@ -138,20 +140,53 @@ def assert_solve_singular_exactly_on_formula(m: int, k: int, lam) -> tuple[Fract
 
     points = [Fraction(-1 - i, 3) for i in range(k + 2)]  # below every root
     system = LinearSystem(k)
-    square = [
-        key for key in sorted(rows) if key[0] == 0 and system.add(row_at(points[0], key), 0)
-    ]
-    assert len(square) == k, "the solve's own rows do not determine the coefficients"
+    square = [key for key in sorted(rows) if system.add(row_at(points[0], key), 0)]
+    if len(square) != k:
+        raise AssertionError("the solve's own rows do not determine the coefficients")
     ratios = {
         det([row_at(d, key) for key in square]) / prod(d - r for r in roots) for d in points
     }
-    assert len(ratios) == 1 and 0 not in ratios, ratios
+    if len(ratios) != 1 or 0 in ratios:
+        raise AssertionError(ratios)
     for d in points:
         density_quant_coefficients(m, k, lam, lam + d)
     for r in roots:
         with pytest.raises(ResonantWeight):
             density_quant_coefficients(m, k, lam, lam + r)
     return tuple(sorted(roots))
+
+
+def dense_divergence(section: TensorSection) -> TensorSection:
+    """Div by probing all m^(d-1) index tuples for their m first-slot
+    extensions: the reference for the library's walk over stored components."""
+    if section.degree < 1:
+        raise ValueError("divergence needs at least one slot")
+    m = section.rank
+    coeffs = section.coeffs
+    out = {
+        index: poly_sum(
+            m, [coeffs[(j,) + index].diff(j) for j in range(m) if (j,) + index in coeffs]
+        )
+        for index in product(range(m), repeat=section.degree - 1)
+    }
+    return TensorSection(m, section.degree - 1, section.twist, section.weight, out)
+
+
+def dense_contraction_operator(tensor: TensorSection, weight_in, weight_out) -> DiffOperator:
+    """<T, grad^d f> by probing all m^d index tuples: the reference for the
+    library's walk over stored components."""
+    m = tensor.rank
+    out: dict[tuple[int, ...], Poly] = {}
+    for index in product(range(m), repeat=tensor.degree):
+        p = tensor.coeffs.get(index)
+        if p:
+            beta = [0] * m
+            for i in index:
+                beta[i] += 1
+            key = tuple(beta)
+            s = out.get(key)
+            out[key] = p if s is None else s + p
+    return DiffOperator(m, out, weight_in, weight_out)
 
 
 def eigenvalue_by_double_sum(label: IrrepLabel) -> EigenvaluePoly:

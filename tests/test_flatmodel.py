@@ -18,6 +18,7 @@ from projquant.flatmodel import (
     PolyVectorField,
     TensorSection,
     classical_casimir,
+    contraction_operator,
     divergence,
     killing_dual_basis,
     lie_derivative,
@@ -31,7 +32,13 @@ from projquant.flatmodel import (
 )
 from projquant.flatmodel.algebra import killing_form, matrix_trace
 import support
-from support import derived_casimir_kernels, direct_casimir, invert_matrix
+from support import (
+    dense_contraction_operator,
+    dense_divergence,
+    derived_casimir_kernels,
+    direct_casimir,
+    invert_matrix,
+)
 
 
 def euler_field(m):
@@ -146,11 +153,11 @@ def test_casimir_basis_independent():
 
 
 @st.composite
-def tensor_sections(draw):
+def tensor_sections(draw, max_slots=3):
     """Sections with no symmetry and a few components filled, each a small
     polynomial with rational coefficients."""
     m = draw(st.integers(2, 4))
-    slots = draw(st.integers(0, 3))
+    slots = draw(st.integers(0, max_slots))
     index = st.tuples(*[st.integers(0, m - 1)] * slots)
     monomial = st.tuples(*[st.integers(0, 2)] * m)
     poly = st.dictionaries(monomial, st.fractions(-3, 3, max_denominator=7), max_size=3)
@@ -164,6 +171,17 @@ def tensor_sections(draw):
 @given(tensor_sections())
 def test_casimir_kernels_equal_the_lie_derivative_loop(section):
     assert classical_casimir(section) == direct_casimir(section)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_sections(max_slots=4), st.fractions(-3, 3, max_denominator=7))
+def test_stored_component_walks_equal_the_dense_references(section, weight_in):
+    weight_out = weight_in + section.weight
+    assert contraction_operator(section, weight_in, weight_out) == dense_contraction_operator(
+        section, weight_in, weight_out
+    )
+    if section.degree:
+        assert divergence(section) == dense_divergence(section)
 
 
 def test_casimir_rejects_rank_below_two():

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -144,7 +146,9 @@ def test_singular_deltas_match_resonances():
 
 
 @pytest.mark.parametrize(
-    "m,k", [(2, 6), (2, 7), (2, 8), (3, 6), (3, 7), (4, 6), (5, 4), (6, 3)]
+    "m,k",
+    [(2, 6), (2, 7), (2, 8), (3, 6), (3, 7), (4, 6), (5, 4), (6, 3),
+     (4, 12), (5, 10), (3, 16), (6, 8)],
 )
 def test_high_order_matches_closed_form(m, k):
     lam, mu = Fraction(1, 2), Fraction(1, 3)
@@ -162,6 +166,16 @@ def test_singular_deltas_stable_across_lambda():
             assert solver_singular_deltas(m, k, lam) == proven
 
 
+def test_order_twelve_solves_in_under_a_second():
+    # the solve walks only the stored components of its one-component symbol
+    lam, mu = Fraction(1, 2), Fraction(1, 3)
+    start = time.perf_counter()
+    got = density_quant_coefficients(4, 12, lam, mu).values
+    elapsed = time.perf_counter() - start
+    assert got == closed_form_coefficients(4, 12, lam, mu)
+    assert elapsed < 1, elapsed
+
+
 def test_resonant_message_names_the_vanishing_factor(monkeypatch):
     with pytest.raises(ResonantWeight) as exc:
         density_quant_coefficients(3, 5, Fraction(0), Fraction(11, 4))
@@ -170,16 +184,14 @@ def test_resonant_message_names_the_vanishing_factor(monkeypatch):
         "factor j = 2, (m+2k-j)/(m+1) = 11/4 vanishes"
     )
     assert exc.value.delta == Fraction(11, 4)
-    # a square system short of one row fails at a shift no factor explains, and says so
+    # a system that cannot determine c_k fails at a shift no factor explains, and says so
     equations = quantize._equations
 
-    def one_row_short(m, k, lam, mu, degree):
-        rows = equations(m, k, lam, mu, degree)
-        if degree == k - 1:
-            del rows[min(rows)]
-        return rows
+    def without_c_k(m, k, lam, mu):
+        rows = equations(m, k, lam, mu)
+        return {key: (row, rhs) for key, (row, rhs) in rows.items() if not row[-1]}
 
-    monkeypatch.setattr(quantize, "_equations", one_row_short)
+    monkeypatch.setattr(quantize, "_equations", without_c_k)
     with pytest.raises(ResonantWeight) as exc:
         density_quant_coefficients(2, 6, Fraction(3, 11), Fraction(1, 13))
     assert str(exc.value).endswith(
@@ -188,12 +200,32 @@ def test_resonant_message_names_the_vanishing_factor(monkeypatch):
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
-def test_solve_symbol_gives_a_square_system(m):
-    # x_0^(k-1) d_0^k yields exactly k independent equations at a generic weight
+def test_solve_symbol_gives_rank_k(m):
+    # x_0^k d_0^k yields equations of rank k at a generic weight
     lam, mu = Fraction(2, 7), Fraction(-1, 5)
     for k in range(1, 7):
-        rows = quantize._equations(m, k, lam, mu, k - 1)
+        rows = quantize._equations(m, k, lam, mu)
         system = LinearSystem(k)
         for row, rhs in rows.values():
             system.add(row, rhs)
-        assert (len(rows), system.rank) == (k, k), (k, len(rows), system.rank)
+        assert not system.inconsistent and system.rank == k, (k, len(rows), system.rank)
+
+
+RESONANT_LAMBDAS = tuple(map(Fraction, ("0", "1/2", "-3/7", "2/7", "-1", "5/3")))
+RESONANT_DIGEST = "9c123e22030f50a0970a1b128d5fe680e6d2b1f48639199a9e2edb04f5b95140"
+
+
+def test_resonant_messages_are_pinned():
+    # str(ResonantWeight) and .delta at every root for m = 2..5, k = 1..6 and
+    # six weights: the bytes `quantize` prints on a resonant call, recorded
+    # while the solve still checked a second symbol's equations
+    lines = []
+    for m in range(2, 6):
+        for k in range(1, 7):
+            for lam in RESONANT_LAMBDAS:
+                for j in range(1, k + 1):
+                    with pytest.raises(ResonantWeight) as exc:
+                        density_quant_coefficients(m, k, lam, lam + Fraction(m + 2 * k - j, m + 1))
+                    lines.append(f"{exc.value}|{exc.value.delta}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == RESONANT_DIGEST

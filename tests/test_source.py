@@ -24,6 +24,18 @@ def test_library_has_no_assert_statements():
     assert not found, found
 
 
+def test_test_support_has_no_assert_statements():
+    # pytest rewrites asserts only in test modules; python -O strips the rest,
+    # so the oracles' checks in support.py must raise explicitly
+    path = Path(__file__).with_name("support.py")
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
+
+
 def test_library_does_not_import_dataclasses():
     # its import (through inspect) costs a CLI call more than most subcommands compute
     root = Path(projquant.__file__).parent
