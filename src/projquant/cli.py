@@ -373,7 +373,7 @@ def _run(args) -> tuple[object, int]:
         return args.handler(args)
     except ResonantWeight as exc:
         return _resonance_diagnostic(exc, args), 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         return {"error": "domain error", "message": str(exc)}, 1
 
 

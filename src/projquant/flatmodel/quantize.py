@@ -7,10 +7,11 @@ The ansatz is the constant-coefficient divergence form
 Translation and linear equivariance hold for every choice of the c_l, so
 the defining conditions come from the quadratic generators alone.  One
 symbol and one generator suffice: the symbol x_0^k d_0^k and the quadratic
-field of direction 0 give k equations in c_1..c_k, of rank k at a generic
-weight, and one exact elimination classifies them.  The system
-degenerates (rank drop or inconsistency) precisely at the resonant weights,
-the zeros of the factors (m + 2k - j)/(m + 1) - delta, j = 1..k, of the
+field of direction 0 give k equations in c_1..c_k.  They are lower
+bidiagonal, equation l holding c_(l-1) and c_l alone, so forward
+substitution solves them: the triangular recursion of Duval, Lecomte and
+Ovsienko.  Step l divides by a coefficient that vanishes only at a resonant
+weight, the zero of the factor (m + 2k - l)/(m + 1) - delta of the
 Lecomte-Ovsienko closed form.
 """
 
@@ -20,7 +21,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ..errors import ResonantWeight
-from ..linalg import LinearSystem
 from ..records import Record
 from .algebra import proj_embedding, sl_basis
 from .operators import DiffOperator, compose, contraction_operator, lie_operator
@@ -94,26 +94,15 @@ def _residual_family(m, lam, mu, symbol):
     ]
 
 
-def _equations(m, k, lam, mu):
-    """Equations sum_{l>=1} c_l row[l-1] = rhs from the symbol x_0^k d_0^k,
-    keyed by the (derivative, monomial) term of the residual they come from."""
-    monomial = Poly.monomial(m, (k,) + (0,) * (m - 1))
-    symbol = TensorSection(m, k, 0, mu - lam, {(0,) * k: monomial})
-    rows = {}  # (beta, monomial) -> its coefficient in O_0..O_k
-    for level, op in enumerate(_residual_family(m, lam, mu, symbol)):
-        for beta, p in op.coeffs.items():
-            for mono, x in p.coeffs.items():
-                rows.setdefault((beta, mono), [0] * (k + 1))[level] = x
-    return {key: (row[1:], -row[0]) for key, row in rows.items()}
-
-
 def density_quant_coefficients(m, k, lam, mu) -> QuantCoefficients:
     """Solve the quadratic-generator conditions exactly at fixed weights.
 
-    Every equation of the symbol x_0^k d_0^k goes through one elimination,
-    whose unique solution is c_1..c_k.  Raises ResonantWeight when the
-    system is inconsistent or of rank below k; this happens exactly at the
-    resonant weight shifts.
+    The residual of the symbol x_0^k d_0^k is lower bidiagonal in c_1..c_k:
+    its x_0^(k-l+1) d_0^(k-l) term reads b_l c_(l-1) + a_l c_l = 0, so
+    forward substitution gives c_l = -b_l c_(l-1) / a_l.  Each a_l is affine
+    in delta and vanishes only at (m + 2k - l)/(m + 1); there this raises
+    ResonantWeight, inconsistent when b_l c_(l-1) != 0 and rank-deficient
+    otherwise.  The whole residual is then checked to vanish.
     """
     lam = Fraction(lam)
     mu = Fraction(mu)
@@ -134,15 +123,33 @@ def density_quant_coefficients(m, k, lam, mu) -> QuantCoefficients:
             cause = f"delta is none of the factors (m+2k-j)/(m+1), j = 1..{k}"
         return ResonantWeight(f"quantization {problem} at delta = {delta}: {cause}", delta)
 
-    system = LinearSystem(k)
-    for row, rhs in _equations(m, k, lam, mu).values():
-        system.add(row, rhs)
-        if system.inconsistent:
-            raise resonant("system inconsistent")
-    solution = system.solve()
-    if solution is None:
-        raise resonant("system rank-deficient")
-    return QuantCoefficients((Fraction(1),) + tuple(solution))
+    pad = (0,) * (m - 1)
+    symbol = TensorSection(m, k, 0, delta, {(0,) * k: Poly.monomial(m, (k,) + pad)})
+    family = _residual_family(m, lam, mu, symbol)
+
+    def entry(op: DiffOperator, order: int):
+        # the x_0^(order+1) d_0^order coefficient of one residual operator
+        p = op.coeffs.get((order,) + pad)
+        return p.coeffs.get((order + 1,) + pad, 0) if p else 0
+
+    values = [Fraction(1)]
+    for level in range(1, k + 1):
+        b = entry(family[level - 1], k - level) * values[-1]
+        a = entry(family[level], k - level)
+        if a == 0:
+            raise resonant("system inconsistent" if b else "system rank-deficient")
+        values.append(-b / a)
+    residual = DiffOperator(m, {}, lam, mu)
+    for c, op in zip(values, family):
+        residual = residual + op.scale(c)
+    if residual:
+        beta = min(residual.coeffs)
+        term = min(residual.coeffs[beta].coeffs)
+        raise RuntimeError(
+            f"quantization residual at delta = {delta} keeps derivative {beta} "
+            f"with monomial {term}"
+        )
+    return QuantCoefficients(tuple(values))
 
 
 def quantize_densities(m, k, lam, mu, symbol: TensorSection):
@@ -165,9 +172,11 @@ def solver_singular_deltas(m: int, k: int, lam=Fraction(1, 2)) -> tuple[Fraction
     """All weight shifts at which the quantization solve degenerates, ascending.
 
     They are the zeros of the factors (m + 2k - j)/(m + 1) - delta,
-    j = 1..k, of the Lecomte-Ovsienko closed form.  The set does not depend
-    on `lam`; the tests prove, from the determinant of k independent rows
-    of the solve's own system, that the solve degenerates exactly there.
+    j = 1..k, of the Lecomte-Ovsienko closed form: the solve's system is
+    bidiagonal, so its determinant is the product of the diagonal
+    coefficients a_l, and a_l vanishes only at the factor j = l.  The set
+    does not depend on `lam`; the tests prove, from the determinant of the
+    solve's own rows, that the solve degenerates exactly there.
     """
     return tuple(sorted(Fraction(m + 2 * k - j, m + 1) for j in range(1, k + 1)))
 

@@ -27,8 +27,8 @@ from projquant.flatmodel import (
     proj_embedding,
 )
 from projquant.flatmodel.poly import poly_sum
-from projquant.flatmodel.quantize import _equations
-from projquant.linalg import LinearSystem, det
+from projquant.flatmodel.quantize import _residual_family
+from projquant.linalg import det
 
 Rows = tuple[int, ...]
 
@@ -107,6 +107,68 @@ def closed_form_coefficients(m: int, k: int, lam, mu) -> tuple[Fraction, ...]:
             c *= (lam + Fraction(k - j, m + 1)) / (Fraction(m + 2 * k - j, m + 1) - delta)
         values.append(c)
     return tuple(values)
+
+
+class LinearSystem:
+    """Incremental row reduction; tracks rank and detects inconsistency.
+
+    Rows are (coefficients, rhs) pairs reduced against the pivots seen so
+    far.  Feeding every equation of an overdetermined system through `add`
+    classifies it: full-rank and consistent, rank-deficient, or inconsistent.
+    The general reference the quantization's forward substitution and the
+    Young-image ranks are checked against.
+    """
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.pivots: dict[int, tuple[list, object]] = {}
+        self.inconsistent = False
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, row, rhs):
+        row = list(row)
+        for col, (prow, prhs) in self.pivots.items():
+            factor = row[col]
+            if factor != 0:
+                row = [x - factor * y for x, y in zip(row, prow)]
+                rhs = rhs - factor * prhs
+        return row, rhs
+
+    def add(self, row, rhs) -> bool:
+        """Insert an equation; returns True when it increased the rank."""
+        # plain ints must become Fractions before any pivot division
+        row = [Fraction(x) if isinstance(x, int) else x for x in row]
+        if isinstance(rhs, int):
+            rhs = Fraction(rhs)
+        row, rhs = self.reduce(row, rhs)
+        lead = next((c for c in range(self.ncols) if row[c] != 0), None)
+        if lead is None:
+            if rhs != 0:
+                self.inconsistent = True
+            return False
+        inv = 1 / row[lead]
+        row = [x * inv for x in row]
+        rhs = rhs * inv
+        self.pivots[lead] = (row, rhs)
+        return True
+
+
+def _equations(m: int, k: int, lam, mu) -> dict:
+    """Equations sum_{l>=1} c_l row[l-1] = rhs from the symbol x_0^k d_0^k,
+    keyed by the (derivative, monomial) term of the residual they come from:
+    every term of the solve's residual, for the general elimination the
+    library's forward substitution is checked against."""
+    monomial = Poly.monomial(m, (k,) + (0,) * (m - 1))
+    symbol = TensorSection(m, k, 0, mu - lam, {(0,) * k: monomial})
+    rows = {}  # (beta, monomial) -> its coefficient in O_0..O_k
+    for level, op in enumerate(_residual_family(m, lam, mu, symbol)):
+        for beta, p in op.coeffs.items():
+            for mono, x in p.coeffs.items():
+                rows.setdefault((beta, mono), [0] * (k + 1))[level] = x
+    return {key: (row[1:], -row[0]) for key, row in rows.items()}
 
 
 def assert_solve_singular_exactly_on_formula(m: int, k: int, lam) -> tuple[Fraction, ...]:

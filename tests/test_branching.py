@@ -20,8 +20,7 @@ from projquant import (
     zero_removal_embedding,
 )
 from projquant.flatmodel import Poly, young_section
-from projquant.linalg import LinearSystem
-from support import random_canonical_label, random_point
+from support import LinearSystem, random_canonical_label, random_point
 
 
 def test_branch_labels_of_box():

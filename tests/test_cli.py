@@ -95,6 +95,15 @@ def test_quantize_high_order(capsys):
     assert payload == [str(c) for c in expected]
 
 
+def test_quantize_past_the_polynomial_degree_bound_is_domain_error(capsys):
+    code, payload = run_json(
+        capsys, "quantize", "--m", "8", "-k", "256", "--lambda", "1/2", "--mu", "1/3"
+    )
+    assert code == 1
+    assert payload["error"] == "domain error"
+    assert "exceeds total degree 255" in payload["message"]
+
+
 def test_quantize_resonant_diagnostic(capsys):
     code, payload = run_json(
         capsys, "quantize", "--m", "2", "-k", "1", "--lambda", "0", "--mu", "1"
@@ -456,7 +465,7 @@ def test_rational_flag_without_a_value_is_usage_error(capsys):
         (["decompose", "--v1", "D=1; m=2; n=0; delta=0", "--v2", "D=1; m=2; n=0; delta=0",
           "-k", "1"], 0, "tensor", ("flatmodel",)),
         (["quantize", "--m", "2", "-k", "1", "--lambda", "0", "--mu", "1"], 1,
-         "flatmodel.quantize", ("flatmodel.liftplan", "tensor")),
+         "flatmodel.quantize", ("flatmodel.liftplan", "tensor", "linalg")),
         (["casimir-check", "--m", "3", "--diagram", "1", "--trials", "1", "--max-degree", "1"], 0,
          "flatmodel.algebra", ("flatmodel.quantize", "flatmodel.operators", "flatmodel.liftplan")),
         (["lift-plan", "--m", "2", "--diagram", "2", "--delta", "0"], 0, "flatmodel.liftplan",

@@ -4,9 +4,13 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projquant import ResonantWeight, canonicalize, resonances
 from projquant.flatmodel import (
+    DiffOperator,
+    Poly,
     density_quant_coefficients,
     quantization_operator,
     quantize_densities,
@@ -17,8 +21,12 @@ from projquant.flatmodel import (
 )
 from projquant.flatmodel import quantize
 from projquant.flatmodel.quantize import QuantCoefficients
-from projquant.linalg import LinearSystem
-from support import assert_solve_singular_exactly_on_formula, closed_form_coefficients
+from support import (
+    LinearSystem,
+    _equations,
+    assert_solve_singular_exactly_on_formula,
+    closed_form_coefficients,
+)
 
 
 def test_order_zero_is_multiplication():
@@ -185,13 +193,17 @@ def test_resonant_message_names_the_vanishing_factor(monkeypatch):
     )
     assert exc.value.delta == Fraction(11, 4)
     # a system that cannot determine c_k fails at a shift no factor explains, and says so
-    equations = quantize._equations
+    family = quantize._residual_family
 
-    def without_c_k(m, k, lam, mu):
-        rows = equations(m, k, lam, mu)
-        return {key: (row, rhs) for key, (row, rhs) in rows.items() if not row[-1]}
+    def without_a_k(m, lam, mu, symbol):
+        ops = family(m, lam, mu, symbol)
+        beta, mono = (0,) * m, (1,) + (0,) * (m - 1)
+        p = ops[-1].coeffs[beta]
+        coeffs = {**ops[-1].coeffs, beta: p - Poly.monomial(m, mono, p.coeffs[mono])}
+        ops[-1] = DiffOperator(m, coeffs, lam, mu)
+        return ops
 
-    monkeypatch.setattr(quantize, "_equations", without_c_k)
+    monkeypatch.setattr(quantize, "_residual_family", without_a_k)
     with pytest.raises(ResonantWeight) as exc:
         density_quant_coefficients(2, 6, Fraction(3, 11), Fraction(1, 13))
     assert str(exc.value).endswith(
@@ -199,16 +211,82 @@ def test_resonant_message_names_the_vanishing_factor(monkeypatch):
     )
 
 
+def diagonal_key(m, k, level):
+    """The residual term x_0^(k-l+1) d_0^(k-l) that holds equation l."""
+    pad = (0,) * (m - 1)
+    return (k - level,) + pad, (k - level + 1,) + pad
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_solve_symbol_gives_rank_k(m):
-    # x_0^k d_0^k yields equations of rank k at a generic weight
-    lam, mu = Fraction(2, 7), Fraction(-1, 5)
-    for k in range(1, 7):
-        rows = quantize._equations(m, k, lam, mu)
-        system = LinearSystem(k)
-        for row, rhs in rows.values():
-            system.add(row, rhs)
-        assert not system.inconsistent and system.rank == k, (k, len(rows), system.rank)
+    # x_0^k d_0^k yields k equations of rank k at a generic weight; equation l
+    # holds only c_(l-1) and c_l, and its c_l coefficient a_l is affine in
+    # delta with its one root at the factor j = l of the closed form
+    for k in range(1, 9):
+        for lam in (Fraction(2, 7), Fraction(-3, 11)):
+            rows = _equations(m, k, lam, Fraction(-1, 5))
+            system = LinearSystem(k)
+            for row, rhs in rows.values():
+                system.add(row, rhs)
+            assert not system.inconsistent and system.rank == k, (k, len(rows), system.rank)
+            assert set(rows) == {diagonal_key(m, k, level) for level in range(1, k + 1)}
+            eqs = [_equations(m, k, lam, lam + d) for d in (0, 1, 2)]
+            for level in range(1, k + 1):
+                row, rhs = rows[diagonal_key(m, k, level)]
+                held = {i for i, x in enumerate(row) if x}
+                assert held == {max(level - 2, 0), level - 1} and (rhs != 0) == (level == 1)
+                a0, a1, a2 = (e[diagonal_key(m, k, level)][0][level - 1] for e in eqs)
+                assert a2 - a1 == a1 - a0 != 0
+                assert Fraction(-a0) / (a1 - a0) == Fraction(m + 2 * k - level, m + 1)
+
+
+@st.composite
+def solve_inputs(draw):
+    m = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 7))
+    j = draw(st.integers(1, k))
+    # a weight that zeroes a numerator of the closed form, or any weight
+    lam = draw(st.sampled_from([Fraction(-(k - j), m + 1), None]))
+    if lam is None:
+        lam = draw(st.fractions(-3, 3, max_denominator=9))
+    delta = draw(st.sampled_from([Fraction(m + 2 * k - j, m + 1), None]))
+    if delta is None:
+        delta = draw(st.fractions(-3, 3, max_denominator=9))
+    return m, k, lam, lam + delta
+
+
+@settings(max_examples=80, deadline=None)
+@given(solve_inputs())
+def test_forward_substitution_classifies_as_the_general_elimination(inputs):
+    m, k, lam, mu = inputs
+    system = LinearSystem(k)
+    for row, rhs in _equations(m, k, lam, mu).values():
+        system.add(row, rhs)
+    if not system.inconsistent and system.rank == k:
+        assert density_quant_coefficients(m, k, lam, mu).values == closed_form_coefficients(
+            m, k, lam, mu
+        )
+        return
+    problem = "inconsistent" if system.inconsistent else "rank-deficient"
+    with pytest.raises(ResonantWeight) as exc:
+        density_quant_coefficients(m, k, lam, mu)
+    assert str(exc.value).startswith(f"quantization system {problem} at delta = {mu - lam}: ")
+    assert exc.value.delta == mu - lam
+
+
+def test_residual_off_the_two_diagonals_raises(monkeypatch):
+    family = quantize._residual_family
+    beta, mono = (0, 0, 0), (0, 1, 0)
+
+    def with_stray_term(m, lam, mu, symbol):
+        ops = family(m, lam, mu, symbol)
+        ops[-1] = ops[-1] + DiffOperator(m, {beta: Poly.monomial(m, mono)}, lam, mu)
+        return ops
+
+    monkeypatch.setattr(quantize, "_residual_family", with_stray_term)
+    with pytest.raises(RuntimeError) as exc:
+        density_quant_coefficients(3, 4, Fraction(1, 2), Fraction(1, 3))
+    assert str(exc.value).endswith(f"keeps derivative {beta} with monomial {mono}")
 
 
 RESONANT_LAMBDAS = tuple(map(Fraction, ("0", "1/2", "-3/7", "2/7", "-1", "5/3")))
