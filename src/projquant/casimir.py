@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 
 from .branching import BranchLabel, branch_labels, component
-from .diagrams import IrrepLabel, extend_rank
+from .diagrams import IrrepLabel, dual, extend_rank
 from .records import Record
 
 
@@ -127,14 +127,16 @@ def resonances_for_symbols(
     A weight is resonant for a direct sum when it is resonant for at least
     one irreducible component, so the union is the right aggregate.
     """
-    from .tensor import symbol_rep
+    from .tensor import littlewood_richardson, pieri
 
     if v1.rank != v2.rank:
         raise ValueError(f"rank mismatch: {v1.rank} vs {v2.rank}")
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
+    # v1* (x) v2 is the same for every k: take it once and add S^k to each term
+    pairs = [pair for pair, _ in littlewood_richardson(dual(v1), v2).terms]
+    terms = {term for k in range(kmax + 1) for pair in pairs for term, _ in pieri(pair, k).terms}
     values: set[Fraction] = set()
-    for k in range(kmax + 1):
-        for term, _ in symbol_rep(v1, v2, k).terms:
-            values |= resonances(term)
+    for term in terms:
+        values |= resonances(term)
     return frozenset(values)

@@ -99,7 +99,9 @@ class IrrepLabel(Record):
         object.__setattr__(self, "diagram", diagram)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "twist", int(twist))
-        object.__setattr__(self, "weight", Fraction(weight))
+        object.__setattr__(
+            self, "weight", weight if weight.__class__ is Fraction else Fraction(weight)
+        )
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -158,7 +160,7 @@ def canonicalize(
         strip = diagram.rows[-1]
         diagram = YoungDiagram(tuple(r - strip for r in diagram.rows))
         twist += strip
-    return IrrepLabel(diagram, rank, twist, Fraction(weight))
+    return IrrepLabel(diagram, rank, twist, weight)
 
 
 def dual(label: IrrepLabel) -> IrrepLabel:

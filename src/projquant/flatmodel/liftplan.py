@@ -60,15 +60,15 @@ def lift_plan(label: IrrepLabel, delta: Fraction) -> LiftPlan:
     parent = extend_rank(label)
     labels = branch_labels(parent)
     m = label.rank
-    alpha = {q: eigenvalue(component(parent, q))(delta) for q in labels}
-    base = alpha[BranchLabel()]
+    children = [component(parent, q) for q in labels]
+    alpha = [eigenvalue(child)(delta) for child in children]
+    base = alpha[0]  # q = 0 comes first in lexicographic order
     nodes = []
-    for q in labels:
-        child = component(parent, q)
+    for q, child, value in zip(labels, children, alpha):
         if q.norm == 0:
             nodes.append(LiftNode(q, child, None))
             continue
-        gap = base - alpha[q]
+        gap = base - value
         if gap == 0:
             raise ResonantWeight(
                 f"eigenvalue collision at removal q = {q} for delta = {delta}: component "

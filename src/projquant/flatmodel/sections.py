@@ -24,7 +24,7 @@ from itertools import chain, combinations, combinations_with_replacement, permut
 
 from ..diagrams import YoungDiagram
 from ..records import Record
-from .poly import Poly, poly_combination, poly_sum
+from .poly import Poly, _layout, _poly, poly_combination, poly_sum
 
 Index = tuple[int, ...]
 
@@ -175,7 +175,6 @@ def young_section(
     return TensorSection(rank, degree, twist, weight, out)
 
 
-@lru_cache(maxsize=None)
 def _exponents(rank: int, max_degree: int) -> tuple[Index, ...]:
     """Exponent tuples of total degree <= max_degree, in lexicographic order."""
     if rank == 0:
@@ -187,9 +186,17 @@ def _exponents(rank: int, max_degree: int) -> tuple[Index, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _monomial_keys(rank: int, max_degree: int) -> tuple[int, ...]:
+    """The packed `Poly` keys of `_exponents(rank, max_degree)`, in its order."""
+    pack = _layout(rank).pack
+    return tuple(pack(exps) for exps in _exponents(rank, max_degree))
+
+
 def random_polynomial(rank: int, max_degree: int, rng) -> Poly:
     """Coefficients drawn from -3..3 for every monomial of degree <= max_degree."""
-    return Poly(rank, {exps: rng.randint(-3, 3) for exps in _exponents(rank, max_degree)})
+    keys = _monomial_keys(rank, max_degree)
+    return _poly(_layout(rank), {key: c for key in keys if (c := rng.randint(-3, 3))}, 1)
 
 
 def random_section(

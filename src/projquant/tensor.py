@@ -1,23 +1,24 @@
 """Tensor product decompositions: Pieri rule and Littlewood-Richardson rule.
 
-Both rules walk one enumerator of outer shapes whose rows are bounded by
-per-row ceilings.  Pieri's ceilings admit exactly the horizontal strips;
-Littlewood-Richardson's admit the shapes no deeper than the rank whose
-first row fits both first rows, and weigh each by its count of lattice
-fillings.  Diagrams deeper than the rank never come up (their Schur
-polynomials vanish in that many variables): a canonical label has at most
-rank - 1 rows and a horizontal strip adds at most one.  Labels are then
-reassembled: twists add, weights add, and canonicalization strips full
-columns.
+Both rules fold one step, `_strips`: the horizontal strips of a given
+number of boxes on a shape, kept within rank rows (a diagram deeper than
+the rank has no label, its Schur polynomial vanishing in that many
+variables).  Pieri's rule is one uncapped step.  Littlewood-Richardson adds
+row i of the second factor as a horizontal strip of letter i (Fulton,
+*Young Tableaux*, section 5): a chain of strips is a semistandard skew
+filling, and its reverse reading word is a lattice word exactly when, for
+every i and every row r,
 
-The Littlewood-Richardson multiplicities are computed by direct enumeration
-of skew fillings with the lattice-word condition; instance sizes here stay
-small enough that the simple algorithm is the right one.
+    #(i+1 in rows <= r) <= #(i in rows < r),
+
+so each step caps its letter's running count by the previous letter's
+counts in the rows above.  Fillings that reach the same shape with the same
+last strip continue alike, so they merge into one multiplicity.  Labels are
+then reassembled: twists add, weights add, and canonicalization strips full
+columns.
 """
 
 from __future__ import annotations
-
-from itertools import accumulate
 
 from .diagrams import IrrepLabel, canonicalize, dual
 from .records import Record
@@ -59,129 +60,99 @@ def pieri(label: IrrepLabel, k: int) -> Decomposition:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    rows = label.diagram.rows
-    counts: dict[IrrepLabel, int] = {}
-    # a horizontal strip: new row i + 1 reaches at most old row i
-    for outer in _outer_shapes(rows, label.size + k, (label.diagram.first_row + k,) + rows):
-        term = canonicalize(outer, label.rank, label.twist, label.weight)
-        counts[term] = counts.get(term, 0) + 1
-    return Decomposition.from_counts(counts)
+    m, twist, weight = label.rank, label.twist, label.weight
+    return Decomposition.from_counts(
+        {canonicalize(outer, m, twist, weight): 1 for outer, _ in _strips(label.diagram.rows, k, m)}
+    )
 
 
-def _outer_shapes(inner: Rows, total: int, ceilings: Rows) -> list[Rows]:
-    """Partitions of `total` boxes that contain `inner` and lie under `ceilings`.
+def _strips(
+    shape: Rows, size: int, depth: int, cap: Rows | None = None
+) -> list[tuple[Rows, Rows]]:
+    """Horizontal strips of `size` boxes on `shape` that stay within `depth` rows.
 
-    Row i is at most ceilings[i], so there are at most len(ceilings) rows;
-    `inner` must itself lie under `ceilings`.  Each partition appears once,
-    in the order the row-by-row search reaches it.  Row i starts long
-    enough that the later rows, even filled to their ceilings, can take the
-    boxes left over; this cuts the dead branches of a long Pieri strip,
-    whose later ceilings are the old rows.
+    Row r of a strip fits under row r - 1 of `shape`, and with a `cap` the
+    strip has at most cap[r] boxes in rows <= r (a lattice cap is 0 on the
+    first row).  Returns one (outer shape, below) pair per strip, below[r]
+    being the strip's boxes in rows < r for r up to the outer depth: the
+    lattice cap of the next letter.
     """
-    results: list[Rows] = []
-    depth = len(ceilings)
-    lows = inner + (0,) * (depth - len(inner))
-    # room[i]: the boxes rows i + 1.. can take beyond `inner`
-    slack = [high - low for high, low in zip(ceilings[:0:-1], lows[:0:-1])]
-    room = list(accumulate(slack, initial=0))[::-1]
-
-    def build(i: int, prev: int, remaining: int, acc: list[int]) -> None:
-        if remaining == 0:
-            results.append(tuple(acc) + inner[i:])
-            return
-        if i >= depth:
-            return
-        low = lows[i]
-        start = low + remaining - room[i]  # shorter rows leave boxes with no room
-        if start < low:
-            start = low
-        for c in range(start, min(prev, low + remaining, ceilings[i]) + 1):
-            acc.append(c)
-            build(i + 1, c, remaining - (c - low), acc)
-            acc.pop()
-
-    build(0, total, total - sum(inner), [])
+    reach = len(shape) + 1
+    if reach > depth:
+        reach = depth
+    lows = shape + (0,) * (reach - len(shape))
+    # the rows that can take boxes, as (row, room): each row shorter than the
+    # one above, and the first row unless capped
+    corners = [(r, lows[r - 1] - lows[r]) for r in range(1, reach) if lows[r - 1] > lows[r]]
+    if cap is None:
+        corners.insert(0, (0, size))
+        cap = (size,) * reach
+    spare = sum([room for _, room in corners])
+    if spare < size:
+        return []
+    # the strips corner by corner, as (boxes placed, outer rows, below) so
+    # far; comparisons stand in for min and max, which cost a call each
+    partial: list[tuple[int, Rows, Rows]] = [(0, (), ())]
+    prev = -1
+    for r, room in corners:
+        spare -= room
+        need = size - spare  # boxes that must lie in rows <= r
+        top = cap[r]
+        if top > size:
+            top = size
+        kept = lows[prev + 1 : r]
+        gap = r - prev
+        prev = r
+        grown = []
+        for placed, outer, below in partial:
+            outer += kept
+            below += (placed,) * gap
+            high = placed + room
+            if high > top:
+                high = top
+            base = lows[r] - placed
+            for c in range(placed if placed > need else need, high + 1):
+                grown.append((c, outer + (base + c,), below))
+        partial = grown
+    kept = lows[prev + 1 :]
+    tail = (size,) * (reach - prev)
+    results = []
+    for _, outer, below in partial:
+        outer += kept
+        if outer[-1]:
+            results.append((outer, below + tail))
+        else:  # the new row stayed empty
+            results.append((outer[:-1], below + tail[1:]))
     return results
-
-
-def _lr_fillings(outer: Rows, inner: Rows, content: Rows) -> int:
-    """Number of skew fillings of outer/inner with the given content that are
-    semistandard and whose reverse reading word is a lattice word.
-
-    Cells are filled in reverse reading order (each row right to left, rows
-    top to bottom), which makes the lattice condition checkable as letters
-    are placed: letter v may appear only while #v placed so far stays below
-    #(v-1).
-    """
-    depth = len(outer)
-    inner = inner + (0,) * (depth - len(inner))
-    cells = [
-        (r, c) for r in range(depth) for c in range(outer[r] - 1, inner[r] - 1, -1)
-    ]
-    if not cells:
-        return 1
-    p = len(content)
-    remaining = list(content)
-    seen = [0] * (p + 1)
-    # the cells whose letters bound each cell's letter from above (right
-    # neighbour) and from below (neighbour above), -1 for an inner-shape or
-    # outside cell, which imposes no constraint
-    position = {cell: i for i, cell in enumerate(cells)}
-    right_of = [position.get((r, c + 1), -1) for r, c in cells]
-    above_of = [position.get((r - 1, c), -1) for r, c in cells]
-    letters = [0] * len(cells)
-    last = len(cells) - 1
-
-    # depth-first search without recursion, since a filling may hold more
-    # boxes than the interpreter's recursion limit: letters[:idx] is the stack
-    # of placed letters, and the last cell's letter is counted, never placed
-    count = 0
-    idx = 0
-    v = 0  # the letter last tried in cells[idx]
-    while idx >= 0:
-        high = letters[right_of[idx]] if right_of[idx] >= 0 else p
-        v = max(v, letters[above_of[idx]] if above_of[idx] >= 0 else 0) + 1
-        while v <= high and not (remaining[v - 1] and (v == 1 or seen[v] < seen[v - 1])):
-            v += 1
-        if v > high:
-            idx -= 1
-            if idx >= 0:
-                v = letters[idx]
-                remaining[v - 1] += 1
-                seen[v] -= 1
-        elif idx == last:
-            count += 1
-        else:
-            letters[idx] = v
-            remaining[v - 1] -= 1
-            seen[v] += 1
-            idx += 1
-            v = 0
-    return count
 
 
 def littlewood_richardson(a: IrrepLabel, b: IrrepLabel) -> Decomposition:
     """Full decomposition of a (x) b over a common rank.
 
-    Multiplicity of an outer shape c is the number of lattice skew fillings
-    of c/a with content b.  Shapes deeper than the rank are never
-    enumerated; twists and weights add.
+    The rows of b are added to a as horizontal strips of letters 1, 2, ...,
+    each capped by the previous letter's lattice counts; a state is the
+    shape reached and the last strip's cap for the next letter, weighed by
+    the number of fillings that reach it.  Shapes deeper than the rank are
+    never reached; twists and weights add.
     """
     if a.rank != b.rank:
         raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
     m = a.rank
-    inner = a.diagram.rows
     content = b.diagram.rows
-    total = a.size + b.size
-    counts: dict[IrrepLabel, int] = {}
-    # c_1 <= a_1 + b_1, and a shape deeper than m has no label
-    first = a.diagram.first_row + b.diagram.first_row
-    for outer in _outer_shapes(inner, total, (first,) * min(len(inner) + len(content), m)):
-        mult = _lr_fillings(outer, inner, content)
-        if mult:
-            term = canonicalize(outer, m, a.twist + b.twist, a.weight + b.weight)
-            counts[term] = counts.get(term, 0) + mult
-    return Decomposition.from_counts(counts)
+    states: dict[tuple[Rows, Rows | None], int] = {(a.diagram.rows, None): 1}
+    for size in content:
+        grown: dict[tuple[Rows, Rows | None], int] = {}
+        for (shape, cap), mult in states.items():
+            for state in _strips(shape, size, m, cap):
+                grown[state] = grown.get(state, 0) + mult
+        states = grown
+    counts: dict[Rows, int] = {}
+    for (shape, _), mult in states.items():
+        counts[shape] = counts.get(shape, 0) + mult
+    twist, weight = a.twist + b.twist, a.weight + b.weight
+    return Decomposition.from_counts(
+        {canonicalize(shape, m, twist, weight): mult for shape, mult in counts.items()}
+    )
 
 
 def symbol_rep(v1: IrrepLabel, v2: IrrepLabel, k: int) -> Decomposition:

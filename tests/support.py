@@ -73,8 +73,8 @@ def schur_by_tableaux(rows: Rows, point) -> Fraction:
 
 
 def unpruned_outer_shapes(inner: Rows, total: int, ceilings: Rows) -> list[Rows]:
-    """The row-by-row walk of `tensor._outer_shapes` bounded by each row's
-    ceiling alone: the reference for the order the pruned walk must keep."""
+    """Partitions of `total` boxes that contain `inner` and lie under the
+    per-row `ceilings`, found row by row with no pruning: each once."""
     results: list[Rows] = []
 
     def build(i: int, prev: int, remaining: int, acc: list[int]) -> None:
@@ -91,6 +91,80 @@ def unpruned_outer_shapes(inner: Rows, total: int, ceilings: Rows) -> list[Rows]
 
     build(0, total, total - sum(inner), [])
     return results
+
+
+def lr_fillings(outer: Rows, inner: Rows, content: Rows) -> int:
+    """Number of skew fillings of outer/inner with the given content that are
+    semistandard and whose reverse reading word is a lattice word.
+
+    Cells are filled in reverse reading order (each row right to left, rows
+    top to bottom), which makes the lattice condition checkable as letters
+    are placed: letter v may appear only while #v placed so far stays below
+    #(v-1).
+    """
+    depth = len(outer)
+    inner = inner + (0,) * (depth - len(inner))
+    cells = [
+        (r, c) for r in range(depth) for c in range(outer[r] - 1, inner[r] - 1, -1)
+    ]
+    if not cells:
+        return 1
+    p = len(content)
+    remaining = list(content)
+    seen = [0] * (p + 1)
+    # the cells whose letters bound each cell's letter from above (right
+    # neighbour) and from below (neighbour above), -1 for an inner-shape or
+    # outside cell, which imposes no constraint
+    position = {cell: i for i, cell in enumerate(cells)}
+    right_of = [position.get((r, c + 1), -1) for r, c in cells]
+    above_of = [position.get((r - 1, c), -1) for r, c in cells]
+    letters = [0] * len(cells)
+    last = len(cells) - 1
+
+    # depth-first search without recursion, since a filling may hold more
+    # boxes than the interpreter's recursion limit: letters[:idx] is the stack
+    # of placed letters, and the last cell's letter is counted, never placed
+    count = 0
+    idx = 0
+    v = 0  # the letter last tried in cells[idx]
+    while idx >= 0:
+        high = letters[right_of[idx]] if right_of[idx] >= 0 else p
+        v = max(v, letters[above_of[idx]] if above_of[idx] >= 0 else 0) + 1
+        while v <= high and not (remaining[v - 1] and (v == 1 or seen[v] < seen[v - 1])):
+            v += 1
+        if v > high:
+            idx -= 1
+            if idx >= 0:
+                v = letters[idx]
+                remaining[v - 1] += 1
+                seen[v] -= 1
+        elif idx == last:
+            count += 1
+        else:
+            letters[idx] = v
+            remaining[v - 1] -= 1
+            seen[v] += 1
+            idx += 1
+            v = 0
+    return count
+
+
+def lr_by_fillings(a: IrrepLabel, b: IrrepLabel) -> dict[IrrepLabel, int]:
+    """Littlewood-Richardson terms shape by shape: every outer shape no deeper
+    than the rank whose first row fits both first rows, weighed by its count
+    of lattice fillings.  The walk the strip rule replaced, kept as its
+    independent oracle."""
+    m = a.rank
+    inner, content = a.diagram.rows, b.diagram.rows
+    first = a.diagram.first_row + b.diagram.first_row
+    ceilings = (first,) * min(len(inner) + len(content), m)
+    counts: dict[IrrepLabel, int] = {}
+    for outer in unpruned_outer_shapes(inner, a.size + b.size, ceilings):
+        mult = lr_fillings(outer, inner, content)
+        if mult:
+            term = canonicalize(outer, m, a.twist + b.twist, a.weight + b.weight)
+            counts[term] = counts.get(term, 0) + mult
+    return counts
 
 
 def closed_form_coefficients(m: int, k: int, lam, mu) -> tuple[Fraction, ...]:

@@ -168,6 +168,20 @@ def test_resonances_for_symbols_matches_componentwise():
     assert symbol_rep(v, v, 0).terms == littlewood_richardson(dual(v), v).terms
 
 
+def test_resonances_for_symbols_is_the_union_over_each_symbol_space():
+    rng = random.Random(47)
+    for _ in range(25):
+        rank = rng.choice((2, 3, 4, 5))
+        v1 = random_canonical_label(rng, rank, max_size=4)
+        v2 = random_canonical_label(rng, rank, max_size=4)
+        kmax = rng.randint(0, 4)
+        want = frozenset()
+        for k in range(kmax + 1):
+            for term, _ in symbol_rep(v1, v2, k).terms:
+                want |= resonances(term)
+        assert resonances_for_symbols(v1, v2, kmax) == want
+
+
 def test_resonances_for_symbols_rank_mismatch():
     with pytest.raises(ValueError):
         resonances_for_symbols(canonicalize((), 2), canonicalize((), 3), 1)

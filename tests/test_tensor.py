@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -15,8 +16,14 @@ from projquant import (
     pieri,
     symbol_rep,
 )
-from projquant.tensor import _outer_shapes
-from support import label_pairs, random_canonical_label, random_point, unpruned_outer_shapes
+from projquant.tensor import _strips
+from support import (
+    label_pairs,
+    lr_by_fillings,
+    random_canonical_label,
+    random_point,
+    unpruned_outer_shapes,
+)
 
 
 def test_pieri_trivial_base():
@@ -146,29 +153,66 @@ def test_pieri_agrees_with_lr_row():
 
 
 @st.composite
-def outer_shape_cases(draw):
-    inner = sorted(draw(st.lists(st.integers(1, 4), max_size=3)), reverse=True)
-    depth = draw(st.integers(len(inner), 4))
-    padded = inner + [0] * (depth - len(inner))
-    ceilings = tuple(row + draw(st.integers(0, 4)) for row in padded)
-    return tuple(inner), draw(st.integers(0, 9)), ceilings
+def strip_cases(draw):
+    inner = tuple(sorted(draw(st.lists(st.integers(1, 4), max_size=4)), reverse=True))
+    depth = draw(st.integers(max(len(inner), 1), 5))
+    return inner, draw(st.integers(0, 7)), depth
 
 
 @settings(max_examples=150, deadline=None)
-@given(outer_shape_cases())
+@given(strip_cases())
 def test_outer_shapes_lists_every_partition_under_the_ceilings_once(case):
-    inner, total, ceilings = case
-    padded = inner + (0,) * (len(ceilings) - len(inner))
+    # Pieri's step: the horizontal strips of `size` boxes on `inner` within
+    # `depth` rows are the partitions whose row i + 1 reaches at most old row i
+    inner, size, depth = case
+    total = sum(inner) + size
+    padded = inner + (0,) * (depth - len(inner))
+    ceilings = ((padded[0] + size,) + padded)[:depth]
     expected = [
         tuple(r for r in rows if r)
-        for rows in product(range(total + 1), repeat=len(ceilings))
-        if sum(rows) == total
-        and all(a >= b for a, b in zip(rows, rows[1:]))
-        and all(low <= r <= high for low, r, high in zip(padded, rows, ceilings))
+        for rows in product(*(range(low, high + 1) for low, high in zip(padded, ceilings)))
+        if sum(rows) == total and all(a >= b for a, b in zip(rows, rows[1:]))
     ]
-    shapes = _outer_shapes(inner, total, ceilings)
+    shapes = [outer for outer, _ in _strips(inner, size, depth)]
+    assert len(set(shapes)) == len(shapes)
     assert sorted(shapes) == sorted(expected)
-    assert shapes == unpruned_outer_shapes(inner, total, ceilings)
+    assert sorted(shapes) == sorted(unpruned_outer_shapes(inner, total, ceilings))
+
+
+@st.composite
+def lr_cases(draw):
+    """Two labels of one rank m = 2..7, each with at most 8 boxes."""
+    rank = draw(st.integers(2, 7))
+
+    def factor():
+        rows = sorted(draw(st.lists(st.integers(1, 8), max_size=rank - 1)), reverse=True)
+        while sum(rows) > 8:
+            rows.pop()
+        twist = draw(st.integers(-2, 2))
+        weight = draw(st.fractions(min_value=-2, max_value=2, max_denominator=5))
+        return canonicalize(rows, rank, twist, weight)
+
+    return factor(), factor()
+
+
+@settings(max_examples=200, deadline=None)
+@given(lr_cases())
+def test_lr_strip_walk_matches_the_fillings_of_every_outer_shape(pair):
+    a, b = pair
+    got = dict(littlewood_richardson(a, b).terms)
+    assert got == lr_by_fillings(a, b)
+
+
+def test_lr_staircase_square_at_rank_eight_is_fast_and_conserves_dimension():
+    stair = canonicalize((6, 5, 4, 3, 2, 1), 8, 0, 0)
+    start = time.perf_counter()
+    decomposition = littlewood_richardson(stair, stair)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0
+    total = sum(mult * dimension(label) for label, mult in decomposition.terms)
+    assert total == dimension(stair) ** 2
+    assert len(decomposition.terms) == 2701
+    assert sum(mult for _, mult in decomposition.terms) == 361712
 
 
 @settings(max_examples=100, deadline=None)
