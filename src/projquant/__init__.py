@@ -44,12 +44,12 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         ("EigenvaluePoly", "eigenvalue", "is_resonant", "resonances",
-         "resonances_for_symbols", "resonances_generic"),
+         "resonances_for_symbols"),
         "casimir",
     ),
     **dict.fromkeys(
-        ("IrrepLabel", "YoungDiagram", "canonicalize", "char_eval", "dimension", "dual",
-         "extend_rank", "extend_rank_dual", "schur_eval"),
+        ("IrrepLabel", "YoungDiagram", "canonicalize", "dimension", "dual", "extend_rank",
+         "extend_rank_dual"),
         "diagrams",
     ),
     "ResonantWeight": "errors",

@@ -7,10 +7,10 @@ exact quadratic polynomial in delta with leading coefficient m/2.
 A weight delta is *resonant* when some nonzero-removal component of the rank
 extension shares its eigenvalue with the zero-removal component; the set of
 such delta is finite.  `resonances` evaluates a closed-form expression
-over removal vectors; `resonances_generic` solves
-alpha_q(delta) = alpha_0(delta) for each component instead (the quadratic
-terms cancel, leaving one root per q with slope exactly |q|) and is the
-independent route the tests compare the closed form against.
+over removal vectors.  The independent route it is checked against, which
+solves alpha_q(delta) = alpha_0(delta) for each branching component (the
+quadratic terms cancel, leaving one root per q with slope exactly |q|),
+lives with the tests (`tests/support.py::resonances_generic`).
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .branching import BranchLabel, branch_labels, component
-from .diagrams import IrrepLabel, dual, extend_rank
+from .diagrams import IrrepLabel, dual
 from .records import Record
 
 
@@ -80,24 +79,6 @@ def _closed_form_resonances(label: IrrepLabel) -> frozenset[Fraction]:
             qi = q[i - 1]
             num += 2 * d[i - 1] * qi - qi * qi - 2 * i * qi
         values.add(Fraction(num, 2 * norm * (m + 1)))
-    return frozenset(values)
-
-
-def resonances_generic(label: IrrepLabel) -> frozenset[Fraction]:
-    """Resonant weights found by equating eigenvalues of branching components.
-
-    For each nonzero removal vector q of the rank extension of `label`,
-    alpha_q - alpha_0 is affine in delta with slope |q|, so it has exactly
-    one root; the set of those roots is returned.
-    """
-    parent = extend_rank(label)
-    alpha0 = eigenvalue(component(parent, BranchLabel()))
-    values = set()
-    for q in branch_labels(parent):
-        if q.norm == 0:
-            continue
-        alphaq = eigenvalue(component(parent, q))
-        values.add(-(alphaq.c0 - alpha0.c0) / (alphaq.c1 - alpha0.c1))
     return frozenset(values)
 
 

@@ -14,7 +14,7 @@ detection decidable.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .records import Record
@@ -133,12 +133,11 @@ class IrrepLabel(Record):
         missing = {"d", "m", "n", "delta"} - fields.keys()
         if missing:
             raise ValueError(f"label text {text!r} is missing fields {sorted(missing)}")
-        return cls(
-            YoungDiagram.parse(fields["d"]),
-            int(fields["m"]),
-            int(fields["n"]),
-            Fraction(fields["delta"]),
-        )
+        try:
+            weight = Fraction(fields["delta"])
+        except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") divides
+            raise ValueError(f"invalid weight {fields['delta']!r} in label text {text!r}") from exc
+        return cls(YoungDiagram.parse(fields["d"]), int(fields["m"]), int(fields["n"]), weight)
 
 
 def canonicalize(
@@ -151,8 +150,11 @@ def canonicalize(
 
     A full column of `rank` boxes is the determinant character, so if every
     row is positive the minimal row length r is subtracted throughout and r
-    is added to the twist.  Rejects non-monotone rows and depth > rank.
+    is added to the twist.  Rejects a rank below 2, non-monotone rows and
+    depth > rank, in that order.
     """
+    if rank < 2:
+        raise ValueError(f"rank must be at least 2, got {rank}")
     diagram = YoungDiagram(tuple(rows))
     if diagram.depth > rank:
         raise ValueError(f"diagram depth {diagram.depth} exceeds rank {rank}")
@@ -203,40 +205,3 @@ def dimension(label: IrrepLabel) -> int:
             num *= lam[i] - lam[j] + j - i
             den *= j - i
     return num // den
-
-
-def schur_eval(diagram: YoungDiagram, point: Sequence[Fraction]) -> Fraction:
-    """Schur polynomial value at a point with distinct nonzero coordinates.
-
-    Computed as the ratio of alternants det(x_i^{lam_j+m-1-j}) / Vandermonde.
-    Zero when the diagram is deeper than the number of variables.
-    """
-    xs = [Fraction(x) for x in point]
-    m = len(xs)
-    if len(set(xs)) != m:
-        raise ValueError(f"point coordinates must be pairwise distinct: {xs}")
-    if any(x == 0 for x in xs):
-        raise ValueError(f"point coordinates must be nonzero: {xs}")
-    if diagram.depth > m:
-        return Fraction(0)
-    from .linalg import det  # only character values need determinants
-
-    lam = diagram.padded(m)
-    num = det([[x ** (lam[j] + m - 1 - j) for j in range(m)] for x in xs])
-    den = det([[x ** (m - 1 - j) for j in range(m)] for x in xs])
-    return num / den
-
-
-def char_eval(label: IrrepLabel, point: Sequence[Fraction]) -> Fraction:
-    """Character value s_D(x) * (x1...xm)^twist of the rational part of a label.
-
-    The |det|^weight factor is continuous, not rational, and is excluded;
-    this is the quantity that character identities balance exactly.
-    """
-    if len(point) != label.rank:
-        raise ValueError(f"need {label.rank} coordinates, got {len(point)}")
-    value = schur_eval(label.diagram, point)
-    prod = Fraction(1)
-    for x in point:
-        prod *= Fraction(x)
-    return value * prod**label.twist

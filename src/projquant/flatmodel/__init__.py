@@ -13,11 +13,7 @@ imports `flatmodel.poly`.
 from .. import _lazy_exports
 
 _EXPORTS = {
-    **dict.fromkeys(
-        ("classical_casimir", "killing_dual_basis", "matrix_bracket", "proj_embedding",
-         "sl_basis"),
-        "algebra",
-    ),
+    **dict.fromkeys(("classical_casimir", "proj_embedding", "sl_basis"), "algebra"),
     **dict.fromkeys(("LiftNode", "LiftPlan", "lift_plan"), "liftplan"),
     **dict.fromkeys(
         ("DiffOperator", "compose", "contraction_operator", "lie_operator"), "operators"

@@ -12,7 +12,8 @@ block.  The map is an antihomomorphism: [X_h, X_k] = -X_{[h,k]}.
 The Casimir operator sums L_u L_{u+} over a Killing-dual pair of bases,
 with the Killing form kappa(X, Y) = 2(m+1) tr(XY); on a section attached to
 an irreducible label it acts by the scalar eigenvalue, which is what the
-exact tests downstream verify.
+exact tests downstream verify.  The Killing form, the dual basis and the
+matrix bracket the antihomomorphism is checked with live with the tests.
 
 The sum does not depend on the section and commutes with translations and
 with the Euler field, so it is a constant matrix on index tuples, and on a
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
@@ -42,29 +42,8 @@ def _as_matrix(rows) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def matrix_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def matrix_trace(a: Matrix) -> Fraction:
     return sum(a[i][i] for i in range(len(a)))
-
-
-def matrix_bracket(a: Matrix, b: Matrix) -> Matrix:
-    ab = matrix_mul(a, b)
-    ba = matrix_mul(b, a)
-    n = len(a)
-    return tuple(tuple(ab[i][j] - ba[i][j] for j in range(n)) for i in range(n))
-
-
-def killing_form(a: Matrix, b: Matrix) -> Fraction:
-    """kappa(a, b) = 2(m+1) tr(ab) on sl(m+1)."""
-    n = len(a)
-    return 2 * n * sum(a[i][j] * b[j][i] for i in range(n) for j in range(n))
 
 
 def _matrix(size: int, entries: dict) -> Matrix:
@@ -85,26 +64,6 @@ def sl_basis(m: int) -> list[Matrix]:
     basis = [_matrix(p, {(a, b): 1}) for a in range(p) for b in range(p) if a != b]
     basis += [_matrix(p, {(i, i): 1, (m, m): -1}) for i in range(m)]
     return basis
-
-
-@lru_cache(maxsize=None)
-def killing_dual_basis(m: int) -> tuple[tuple[Matrix, ...], tuple[Matrix, ...]]:
-    """Basis of sl(m+1) together with its Killing-dual basis, in closed form.
-
-    With kappa(X, Y) = 2(m+1) tr(XY), the dual of E_ab is E_ba / 2(m+1).
-    The Cartan elements H_i = E_ii - E_{m+1,m+1} have Gram matrix 2(m+1)(I + J),
-    whose inverse is (I - J/(m+1)) / 2(m+1); summed against the H_j this
-    makes the dual of H_i the traceless matrix (E_ii - I/(m+1)) / 2(m+1).
-    """
-    basis = sl_basis(m)
-    p = m + 1
-    c = Fraction(1, 2 * p)
-    dual = [_matrix(p, {(b, a): c}) for a in range(p) for b in range(p) if a != b]
-    dual += [
-        _matrix(p, {(r, r): c * ((1 if r == i else 0) - Fraction(1, p)) for r in range(p)})
-        for i in range(m)
-    ]
-    return tuple(basis), tuple(dual)
 
 
 def proj_embedding(h) -> PolyVectorField:

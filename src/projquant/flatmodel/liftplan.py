@@ -76,14 +76,13 @@ def lift_plan(label: IrrepLabel, delta: Fraction) -> LiftPlan:
                 delta,
             )
         nodes.append(LiftNode(q, child, Fraction(-2) / gap))
-    label_set = set(labels)
+    # edges reuse the node labels, looked up by padded removal vector
+    by_padded = {q.padded(m): q for q in labels}
     edges = []
     for q in labels:
         padded = q.padded(m)
         for i in range(m):
-            bumped = list(padded)
-            bumped[i] += 1
-            target = BranchLabel(tuple(bumped))
-            if target in label_set:
+            target = by_padded.get(padded[:i] + (padded[i] + 1,) + padded[i + 1 :])
+            if target is not None:
                 edges.append((q, target))
     return LiftPlan(label, delta, tuple(nodes), tuple(edges))

@@ -52,21 +52,6 @@ class PolyVectorField(Record):
     def rank(self) -> int:
         return len(self.components)
 
-    def bracket(self, other: "PolyVectorField") -> "PolyVectorField":
-        """Commutator [self, other] of vector fields."""
-        m = self.rank
-        comps = []
-        for i in range(m):
-            acc = Poly.zero(m)
-            for j in range(m):
-                acc = acc + self.components[j] * other.jacobian[i][j]
-                acc = acc - other.components[j] * self.jacobian[i][j]
-            comps.append(acc)
-        return PolyVectorField(tuple(comps))
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.components)
-
 
 class TensorSection:
     """Weighted polynomial tensor field: full index tuples -> coefficients."""
@@ -123,9 +108,6 @@ class TensorSection:
             self.weight,
             {k: v.scale(factor) for k, v in self.coeffs.items()},
         )
-
-    def max_coefficient_degree(self) -> int:
-        return max((p.total_degree() for p in self.coeffs.values()), default=-1)
 
     def _check_compatible(self, other: "TensorSection") -> None:
         if (

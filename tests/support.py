@@ -1,12 +1,16 @@
 """Shared oracles and random generators for the test suite.
 
-The Schur oracle here enumerates semistandard tableaux directly, so it is
-independent of the alternant-ratio evaluation it is used to check.
+The second routes the library is checked against live here, not in the
+library: among them the alternant-ratio Schur value beside the tableau sum
+that checks it, the eigenvalue-gap resonances, the Killing-dual basis and
+the Casimir derivation from it, and one exact Gauss-Jordan elimination
+behind `det` and `invert_matrix`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -15,20 +19,31 @@ from math import comb, prod
 import pytest
 from hypothesis import strategies as st
 
-from projquant import EigenvaluePoly, IrrepLabel, ResonantWeight, canonicalize
+from projquant import (
+    BranchLabel,
+    EigenvaluePoly,
+    IrrepLabel,
+    ResonantWeight,
+    YoungDiagram,
+    branch_labels,
+    canonicalize,
+    component,
+    eigenvalue,
+    extend_rank,
+)
 from projquant.flatmodel import (
     DiffOperator,
     Poly,
     PolyVectorField,
     TensorSection,
     density_quant_coefficients,
-    killing_dual_basis,
     lie_derivative,
     proj_embedding,
+    sl_basis,
 )
+from projquant.flatmodel.algebra import _matrix
 from projquant.flatmodel.poly import poly_sum
 from projquant.flatmodel.quantize import _residual_family
-from projquant.linalg import det
 
 Rows = tuple[int, ...]
 
@@ -70,6 +85,37 @@ def schur_by_tableaux(rows: Rows, point) -> Fraction:
                 term *= xs[v - 1]
         total += term
     return total
+
+
+def schur_eval(diagram: YoungDiagram, point: Sequence[Fraction]) -> Fraction:
+    """Schur polynomial value at a point with distinct nonzero coordinates.
+
+    Computed as the ratio of alternants det(x_i^{lam_j+m-1-j}) / Vandermonde.
+    Zero when the diagram is deeper than the number of variables.
+    """
+    xs = [Fraction(x) for x in point]
+    m = len(xs)
+    if len(set(xs)) != m:
+        raise ValueError(f"point coordinates must be pairwise distinct: {xs}")
+    if any(x == 0 for x in xs):
+        raise ValueError(f"point coordinates must be nonzero: {xs}")
+    if diagram.depth > m:
+        return Fraction(0)
+    lam = diagram.padded(m)
+    num = det([[x ** (lam[j] + m - 1 - j) for j in range(m)] for x in xs])
+    den = det([[x ** (m - 1 - j) for j in range(m)] for x in xs])
+    return num / den
+
+
+def char_eval(label: IrrepLabel, point: Sequence[Fraction]) -> Fraction:
+    """Character value s_D(x) * (x1...xm)^twist of the rational part of a label.
+
+    The |det|^weight factor is continuous, not rational, and is excluded;
+    this is the quantity that character identities balance exactly.
+    """
+    if len(point) != label.rank:
+        raise ValueError(f"need {label.rank} coordinates, got {len(point)}")
+    return schur_eval(label.diagram, point) * prod(map(Fraction, point)) ** label.twist
 
 
 def unpruned_outer_shapes(inner: Rows, total: int, ceilings: Rows) -> list[Rows]:
@@ -348,6 +394,82 @@ def eigenvalue_by_double_sum(label: IrrepLabel) -> EigenvaluePoly:
     )
 
 
+def resonances_generic(label: IrrepLabel) -> frozenset[Fraction]:
+    """Resonant weights found by equating eigenvalues of branching components.
+
+    For each nonzero removal vector q of the rank extension of `label`,
+    alpha_q - alpha_0 is affine in delta with slope |q|, so it has exactly
+    one root; the set of those roots is the reference for the library's
+    closed form `resonances`.
+    """
+    parent = extend_rank(label)
+    alpha0 = eigenvalue(component(parent, BranchLabel()))
+    values = set()
+    for q in branch_labels(parent):
+        if q.norm == 0:
+            continue
+        alphaq = eigenvalue(component(parent, q))
+        values.add(-(alphaq.c0 - alpha0.c0) / (alphaq.c1 - alpha0.c1))
+    return frozenset(values)
+
+
+def matrix_mul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def matrix_bracket(a, b):
+    ab = matrix_mul(a, b)
+    ba = matrix_mul(b, a)
+    n = len(a)
+    return tuple(tuple(ab[i][j] - ba[i][j] for j in range(n)) for i in range(n))
+
+
+def killing_form(a, b) -> Fraction:
+    """kappa(a, b) = 2(m+1) tr(ab) on sl(m+1)."""
+    n = len(a)
+    return 2 * n * sum(a[i][j] * b[j][i] for i in range(n) for j in range(n))
+
+
+def killing_dual_basis(m: int):
+    """Basis of sl(m+1) together with its Killing-dual basis, in closed form.
+
+    With kappa(X, Y) = 2(m+1) tr(XY), the dual of E_ab is E_ba / 2(m+1).
+    The Cartan elements H_i = E_ii - E_{m+1,m+1} have Gram matrix 2(m+1)(I + J),
+    whose inverse is (I - J/(m+1)) / 2(m+1); summed against the H_j this
+    makes the dual of H_i the traceless matrix (E_ii - I/(m+1)) / 2(m+1).
+    """
+    basis = sl_basis(m)
+    p = m + 1
+    c = Fraction(1, 2 * p)
+    dual = [_matrix(p, {(b, a): c}) for a in range(p) for b in range(p) if a != b]
+    dual += [
+        _matrix(p, {(r, r): c * ((1 if r == i else 0) - Fraction(1, p)) for r in range(p)})
+        for i in range(m)
+    ]
+    return tuple(basis), tuple(dual)
+
+
+def field_bracket(x: PolyVectorField, y: PolyVectorField) -> PolyVectorField:
+    """Commutator [x, y] of polynomial vector fields."""
+    m = x.rank
+    comps = []
+    for i in range(m):
+        acc = Poly.zero(m)
+        for j in range(m):
+            acc = acc + x.components[j] * y.jacobian[i][j]
+            acc = acc - y.components[j] * x.jacobian[i][j]
+        comps.append(acc)
+    return PolyVectorField(tuple(comps))
+
+
+def max_coefficient_degree(section: TensorSection) -> int:
+    return max((p.total_degree() for p in section.coeffs.values()), default=-1)
+
+
 @lru_cache(maxsize=None)
 def casimir_field_pairs(m: int) -> tuple[tuple[PolyVectorField, PolyVectorField], ...]:
     """Embedded Killing-dual pairs (u, u+) of sl(m+1)."""
@@ -605,22 +727,40 @@ class RefPoly:
         return total
 
 
-def invert_matrix(matrix):
-    """Exact inverse via Gauss-Jordan elimination; raises on singular input.
-
-    The reference the closed-form Killing dual is checked against."""
-    n = len(matrix)
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(matrix)]
+def _gauss_jordan(rows: list[list]) -> Fraction:
+    """Reduce rows, n of them and at least n wide, in place until their left
+    n x n block is the identity; return that block's determinant, or zero
+    (with the rows part-reduced) when it is singular."""
+    n = len(rows)
+    total = Fraction(1)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
         if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            total = -total
+        total *= rows[col][col]
+        inv = Fraction(1) / rows[col][col]
+        rows[col] = [x * inv for x in rows[col]]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return total
+
+
+def det(matrix) -> Fraction:
+    """Exact determinant by Gauss-Jordan elimination; the input is not changed."""
+    return _gauss_jordan([list(row) for row in matrix])
+
+
+def invert_matrix(matrix):
+    """Exact inverse by Gauss-Jordan elimination of [matrix | I]; raises on
+    singular input.  The reference the closed-form Killing dual is checked
+    against."""
+    n = len(matrix)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    if not _gauss_jordan(aug):
+        raise ValueError("matrix is singular")
     return [row[n:] for row in aug]

@@ -16,7 +16,6 @@ from projquant import (
     YoungDiagram,
     branch_labels,
     canonicalize,
-    char_eval,
     component,
     dimension,
     eigenvalue,
@@ -25,8 +24,6 @@ from projquant import (
     littlewood_richardson,
     max_removal_embedding,
     resonances,
-    resonances_generic,
-    schur_eval,
 )
 from projquant.flatmodel import (
     Poly,
@@ -40,9 +37,12 @@ from projquant.flatmodel import (
 )
 from support import (
     assert_solve_singular_exactly_on_formula,
+    char_eval,
     random_canonical_label,
     random_diagram,
     random_point,
+    resonances_generic,
+    schur_eval,
 )
 
 

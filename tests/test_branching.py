@@ -10,17 +10,15 @@ from projquant import (
     YoungDiagram,
     branch_labels,
     canonicalize,
-    char_eval,
     component,
     dimension,
     extend_rank,
     extend_rank_dual,
     max_removal_embedding,
-    schur_eval,
     zero_removal_embedding,
 )
 from projquant.flatmodel import Poly, young_section
-from support import LinearSystem, random_canonical_label, random_point
+from support import LinearSystem, char_eval, random_canonical_label, random_point, schur_eval
 
 
 def test_branch_labels_of_box():

@@ -15,10 +15,9 @@ from projquant import (
     littlewood_richardson,
     resonances,
     resonances_for_symbols,
-    resonances_generic,
     symbol_rep,
 )
-from support import eigenvalue_by_double_sum, random_canonical_label
+from support import eigenvalue_by_double_sum, random_canonical_label, resonances_generic
 
 
 def all_canonical_labels(max_size, ranks, twists=(0,)):

@@ -334,6 +334,18 @@ def test_domain_error_exit_one(capsys):
     code, payload = run_json(capsys, "branch", "--m", "2", "--diagram", "1")
     assert code == 1
     assert payload["error"] == "domain error"
+    # the rank is checked before the diagram's depth is compared with it
+    code, payload = run_json(capsys, "eigenvalue", "--m", "-3", "--diagram", "0")
+    assert code == 1
+    assert payload == {"error": "domain error", "message": "rank must be at least 2, got -3"}
+
+
+def test_label_with_a_zero_denominator_is_usage_error(capsys):
+    label = "D=1; m=2; n=0; delta=1/0"
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--v1", label, "--v2", "D=1; m=2; n=0; delta=0", "-k", "1"])
+    assert exc.value.code == 2
+    assert f"invalid weight '1/0' in label text {label!r}" in capsys.readouterr().err
 
 
 def test_negative_rationals_after_a_space(capsys):
@@ -457,15 +469,15 @@ def test_rational_flag_without_a_value_is_usage_error(capsys):
     "argv,code,needed,absent",
     [
         (["resonances", "--m", "3", "--diagram", "2,1"], 0, "casimir",
-         ("flatmodel", "tensor", "linalg")),
+         ("flatmodel", "tensor")),
         (["eigenvalue", "--m", "3", "--diagram", "2,1", "--delta", "1/3"], 0, "casimir",
-         ("flatmodel", "tensor", "linalg")),
+         ("flatmodel", "tensor")),
         (["branch", "--m", "3", "--diagram", "2,1"], 0, "branching",
-         ("flatmodel", "tensor", "linalg")),
+         ("flatmodel", "tensor")),
         (["decompose", "--v1", "D=1; m=2; n=0; delta=0", "--v2", "D=1; m=2; n=0; delta=0",
           "-k", "1"], 0, "tensor", ("flatmodel",)),
         (["quantize", "--m", "2", "-k", "1", "--lambda", "0", "--mu", "1"], 1,
-         "flatmodel.quantize", ("flatmodel.liftplan", "tensor", "linalg")),
+         "flatmodel.quantize", ("flatmodel.liftplan", "tensor")),
         (["casimir-check", "--m", "3", "--diagram", "1", "--trials", "1", "--max-degree", "1"], 0,
          "flatmodel.algebra", ("flatmodel.quantize", "flatmodel.operators", "flatmodel.liftplan")),
         (["lift-plan", "--m", "2", "--diagram", "2", "--delta", "0"], 0, "flatmodel.liftplan",
@@ -503,7 +515,8 @@ _SUBCOMMAND_FLAGS = {
     "lift-plan": ("--m", "--diagram", "--n", "--delta"),
 }
 _JUNK = st.sampled_from(
-    ["", "x", "-", "--", "1/0", "0.5.1", "1,,2", "nan", "1,2", "-k", "--m", "D=1"]
+    ["", "x", "-", "--", "1/0", "0.5.1", "1,,2", "nan", "1,2", "-k", "--m", "D=1",
+     "D=1; m=2; n=0; delta=1/0"]
 )
 
 

@@ -8,14 +8,19 @@ from projquant import (
     IrrepLabel,
     YoungDiagram,
     canonicalize,
-    char_eval,
     dimension,
     dual,
     extend_rank,
     extend_rank_dual,
+)
+from support import (
+    char_eval,
+    labels,
+    random_canonical_label,
+    random_point,
+    schur_by_tableaux,
     schur_eval,
 )
-from support import labels, random_canonical_label, random_point, schur_by_tableaux
 
 
 def test_diagram_normalization_and_text():
@@ -48,6 +53,8 @@ def test_canonicalize_examples():
         canonicalize((1, 1, 1, 1), 3, 0, 0)
     with pytest.raises(ValueError):
         canonicalize((), 0, 0, 0)  # rank 0: no row to strip, and below the minimum rank
+    with pytest.raises(ValueError, match="rank must be at least 2, got -3"):
+        canonicalize((), -3)  # not "diagram depth 0 exceeds rank -3"
 
 
 def test_label_text_round_trip():

@@ -19,25 +19,29 @@ from projquant.flatmodel import (
     TensorSection,
     classical_casimir,
     contraction_operator,
+    density_quant_coefficients,
     divergence,
-    killing_dual_basis,
     lie_derivative,
     lift_plan,
-    matrix_bracket,
     proj_embedding,
     random_polynomial,
     random_section,
     sl_basis,
     young_section,
 )
-from projquant.flatmodel.algebra import killing_form, matrix_trace
+from projquant.flatmodel.algebra import matrix_trace
 import support
 from support import (
     dense_contraction_operator,
     dense_divergence,
     derived_casimir_kernels,
     direct_casimir,
+    field_bracket,
     invert_matrix,
+    killing_dual_basis,
+    killing_form,
+    matrix_bracket,
+    max_coefficient_degree,
 )
 
 
@@ -74,7 +78,7 @@ def test_proj_embedding_translation_block():
 
 def test_proj_embedding_zero_and_trace_check():
     zero = [[0] * 4 for _ in range(4)]
-    assert proj_embedding(zero).is_zero()
+    assert not any(proj_embedding(zero).components)
     bad = [[0] * 3 for _ in range(3)]
     bad[0][0] = 1
     with pytest.raises(ValueError):
@@ -87,7 +91,7 @@ def test_embedding_is_bracket_antihomomorphism(m):
     fields = [proj_embedding(h) for h in basis]
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
-            lhs = fields[i].bracket(fields[j])
+            lhs = field_bracket(fields[i], fields[j])
             rhs = proj_embedding(
                 tuple(tuple(-x for x in row) for row in matrix_bracket(a, b))
             )
@@ -191,19 +195,20 @@ def test_casimir_rejects_rank_below_two():
 
 
 def test_casimir_derives_nothing_at_a_large_rank():
-    # the closed form needs no Killing dual, so a 3-slot section at m = 40 builds none
+    # the closed form needs no Killing dual: a 3-slot section at m = 40 is
+    # answered, and the module that applies it defines no Killing-dual name
     script = (
         "from projquant.flatmodel import Poly, TensorSection, classical_casimir\n"
         "from projquant.flatmodel import algebra\n"
         "section = TensorSection(40, 3, 0, 0, {(0, 1, 39): Poly.variable(40, 2)})\n"
-        "assert classical_casimir(section)\n"
-        "print(algebra.killing_dual_basis.cache_info().currsize)\n"
+        "print(bool(classical_casimir(section)))\n"
+        "print([name for name in vars(algebra) if 'killing' in name.lower()])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(projquant.__file__).parents[1]))
     run = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
-    assert run.stdout == "0\n", run.stderr
+    assert run.stdout == "True\n[]\n", run.stderr
 
 
 def _kernels_from(monkeypatch, pairs):
@@ -299,8 +304,8 @@ def test_lie_derivative_degree_bound():
         section = random_section(m, (2,), 0, Fraction(1, 2), 3, rng)
         out = lie_derivative(field, section)
         field_degree = max(c.total_degree() for c in field.components)
-        bound = section.max_coefficient_degree() + field_degree - 1
-        assert out.max_coefficient_degree() <= bound
+        bound = max_coefficient_degree(section) + field_degree - 1
+        assert max_coefficient_degree(out) <= bound
 
 
 def test_lie_derivative_bracket_compatibility():
@@ -313,7 +318,7 @@ def test_lie_derivative_bracket_compatibility():
         lhs = lie_derivative(x, lie_derivative(y, section)) - lie_derivative(
             y, lie_derivative(x, section)
         )
-        rhs = lie_derivative(x.bracket(y), section)
+        rhs = lie_derivative(field_bracket(x, y), section)
         assert lhs == rhs
 
 
@@ -507,3 +512,26 @@ def test_lift_plan_resonant_denominators():
             lift_plan(label, delta)
     plan = lift_plan(label, Fraction(1, 3))
     assert all(node.coefficient is not None for node in plan.nodes[1:])
+
+
+def test_lift_plan_scalars_step_the_quantization_coefficients():
+    # the -2/(alpha_0 - alpha_q) scalars against a second construction, the
+    # quantization: on a single row (k) the node q = (l) scales the step from
+    # c_(l-1) to c_l of the quantization, up to the delta-free factor
+    # gamma_l = -(k-l+1)(lam + (k-l)/(m+1))/2.  The weights below 1 are never
+    # resonant for (k), and no gamma_l vanishes at these lam, so every step
+    # tests its scalar.
+    checked = 0
+    for m in range(2, 6):
+        for k in range(1, 7):
+            label = canonicalize((k,), m)
+            for delta in (Fraction(0), Fraction(1, 7), Fraction(-3)):
+                nodes = lift_plan(label, delta).nodes
+                kappa = {node.removals.norm: node.coefficient for node in nodes}
+                for lam in (Fraction(1, 2), Fraction(-1, 7), Fraction(-5, 2)):
+                    c = density_quant_coefficients(m, k, lam, lam + delta).values
+                    for level in range(1, k + 1):
+                        gamma = -(k - level + 1) * (lam + Fraction(k - level, m + 1)) / 2
+                        assert gamma and c[level] == c[level - 1] * kappa[level] * gamma
+                        checked += 1
+    assert checked == 4 * 3 * 3 * sum(range(1, 7))

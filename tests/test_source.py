@@ -52,14 +52,14 @@ def test_library_does_not_import_dataclasses():
 
 PUBLIC_NAMES = {
     "projquant": """BranchLabel Decomposition EigenvaluePoly IrrepLabel ResonantWeight YoungDiagram
-        branch_labels canonicalize char_eval component dimension dual eigenvalue extend_rank
+        branch_labels canonicalize component dimension dual eigenvalue extend_rank
         extend_rank_dual is_resonant littlewood_richardson max_removal_embedding pieri
-        resonances resonances_for_symbols resonances_generic schur_eval symbol_rep
+        resonances resonances_for_symbols symbol_rep
         zero_removal_embedding""",
     "projquant.flatmodel": """DiffOperator EquivarianceReport LiftNode LiftPlan Poly
         PolyVectorField QuantCoefficients TensorSection classical_casimir compose
-        contraction_operator density_quant_coefficients divergence killing_dual_basis
-        lie_derivative lie_operator lift_plan matrix_bracket proj_embedding
+        contraction_operator density_quant_coefficients divergence lie_derivative
+        lie_operator lift_plan proj_embedding
         quantization_operator quantize_densities random_polynomial random_section sl_basis
         solver_singular_deltas verify_equivariance young_section""",
 }

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from projquant import (
     canonicalize,
-    char_eval,
     dimension,
     extend_rank,
     littlewood_richardson,
@@ -18,6 +17,7 @@ from projquant import (
 )
 from projquant.tensor import _strips
 from support import (
+    char_eval,
     label_pairs,
     lr_by_fillings,
     random_canonical_label,
