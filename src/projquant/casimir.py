@@ -4,13 +4,12 @@ The Casimir operator of the projective embedding of sl(m+1) acts on sections
 associated to an irreducible (D, n, delta) by a scalar alpha that is an
 exact quadratic polynomial in delta with leading coefficient m/2.
 
-A weight delta is *resonant* when some nonzero-removal component of the rank
-extension shares its eigenvalue with the zero-removal component; the set of
-such delta is finite.  `resonances` evaluates a closed-form expression
-over removal vectors.  The independent route it is checked against, which
-solves alpha_q(delta) = alpha_0(delta) for each branching component (the
-quadratic terms cancel, leaving one root per q with slope exactly |q|),
-lives with the tests (`tests/support.py::resonances_generic`).
+A weight delta is *resonant* when some nonzero-removal component q of the
+rank extension shares its eigenvalue with the zero-removal component.  The
+quadratic terms cancel, alpha_0 - alpha_q = |q| (r_q - delta), and the one
+closed form of the root r_q, `gap_roots`, serves both `resonances` and
+`flatmodel.liftplan.lift_plan`.  The independent route, which subtracts the
+`eigenvalue` of each component, is `tests/support.py::resonances_generic`.
 """
 
 from __future__ import annotations
@@ -63,23 +62,25 @@ def eigenvalue(label: IrrepLabel) -> EigenvaluePoly:
     return EigenvaluePoly(c0, c1, c2)
 
 
-def _closed_form_resonances(label: IrrepLabel) -> frozenset[Fraction]:
-    m = label.rank
-    n = label.twist
-    d = label.diagram.padded(m)
-    size = label.size
-    slacks = [d[i] - (d[i + 1] if i + 1 < m else 0) for i in range(m)]
-    values = set()
+def gap_roots(label: IrrepLabel) -> list[Fraction]:
+    """Root r_q of alpha_0 - alpha_q = |q| (r_q - delta) per q != 0, in `branch_labels` order.
+
+    With rank m, twist n, rows d_i (i from 1), size |d| and den = 2(m+1)|q|:
+        r_q = (|q| (2(m+1)(n+1) + 2|d| - |q|) + sum_i q_i (2 d_i - 2i - q_i)) / den
+    q lives on the nonzero rows: those past the depth have no slack.
+    """
+    rows = label.diagram.rows
+    slacks = [r - s for r, s in zip(rows, rows[1:] + (0,))]
+    steps = [2 * r - 2 * i for i, r in enumerate(rows, 1)]
+    den = 2 * (label.rank + 1)
+    base = den * (label.twist + 1) + 2 * label.size
+    roots = []
     for q in product(*(range(s + 1) for s in slacks)):
         norm = sum(q)
-        if norm == 0:
-            continue
-        num = norm * (2 * (m + 1) * (n + 1) + 2 * size - norm)
-        for i in range(1, m + 1):
-            qi = q[i - 1]
-            num += 2 * d[i - 1] * qi - qi * qi - 2 * i * qi
-        values.add(Fraction(num, 2 * norm * (m + 1)))
-    return frozenset(values)
+        if norm:
+            num = norm * (base - norm) + sum(qi * (e - qi) for qi, e in zip(q, steps))
+            roots.append(Fraction(num, den * norm))
+    return roots
 
 
 def resonances(label: IrrepLabel, base: Fraction = Fraction(0)) -> frozenset[Fraction]:
@@ -88,7 +89,7 @@ def resonances(label: IrrepLabel, base: Fraction = Fraction(0)) -> frozenset[Fra
     A nonzero `base` weight shifts the condition from delta to delta + base,
     i.e. shifts the returned set by -base.
     """
-    values = _closed_form_resonances(label)
+    values = frozenset(gap_roots(label))
     if base:
         base = Fraction(base)
         values = frozenset(v - base for v in values)

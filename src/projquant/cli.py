@@ -16,7 +16,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .branching import branch_labels, component
+from .branching import BranchLabel, branch_labels, component
 from .casimir import eigenvalue, resonances
 from .diagrams import IrrepLabel, YoungDiagram, canonicalize, dimension
 from .errors import ResonantWeight
@@ -88,6 +88,10 @@ def _fmt(value) -> str:
     return str(Fraction(value))
 
 
+def _removals_text(q: BranchLabel, rank: int) -> str:
+    return ",".join(str(x) for x in q.padded(rank))
+
+
 def _label_payload(label: IrrepLabel) -> dict:
     return {
         "label": str(label),
@@ -126,7 +130,7 @@ def _cmd_branch(args) -> tuple[list, int]:
         child = component(parent, q)
         rows.append(
             {
-                "q": ",".join(str(x) for x in q.padded(child_rank)),
+                "q": _removals_text(q, child_rank),
                 "diagram": str(child.diagram),
                 "label": str(child),
                 "dim": dimension(child),
@@ -199,7 +203,7 @@ def _cmd_lift_plan(args) -> tuple[dict, int]:
         "delta": _fmt(plan.delta),
         "nodes": [
             {
-                "q": ",".join(str(x) for x in node.removals.padded(child_rank)),
+                "q": _removals_text(node.removals, child_rank),
                 "diagram": str(node.component.diagram),
                 "label": str(node.component),
                 "coefficient": None if node.coefficient is None else _fmt(node.coefficient),
@@ -207,10 +211,7 @@ def _cmd_lift_plan(args) -> tuple[dict, int]:
             for node in plan.nodes
         ],
         "edges": [
-            [
-                ",".join(str(x) for x in src.padded(child_rank)),
-                ",".join(str(x) for x in dst.padded(child_rank)),
-            ]
+            [_removals_text(src, child_rank), _removals_text(dst, child_rank)]
             for src, dst in plan.edges
         ],
     }

@@ -122,15 +122,17 @@ class IrrepLabel(Record):
 
     @classmethod
     def parse(cls, text: str) -> "IrrepLabel":
-        """Parse ``"D=3,2,2; m=4; n=0; delta=1/2"`` (fields in any order)."""
+        """Parse ``"D=3,2,2; m=4; n=0; delta=1/2"`` (fields in any order, each once)."""
+        names = ("d", "m", "n", "delta")
         fields: dict[str, str] = {}
-        for chunk in text.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            key, _, value = chunk.partition("=")
-            fields[key.strip().lower()] = value.strip()
-        missing = {"d", "m", "n", "delta"} - fields.keys()
+        for chunk in filter(str.strip, text.split(";")):
+            key, _, value = (part.strip() for part in chunk.partition("="))
+            name = key.lower()
+            if name not in names or name in fields:
+                problem = "repeated" if name in fields else "unknown"
+                raise ValueError(f"{problem} field {key!r} in label text {text!r}")
+            fields[name] = value
+        missing = set(names) - fields.keys()
         if missing:
             raise ValueError(f"label text {text!r} is missing fields {sorted(missing)}")
         try:

@@ -3,9 +3,10 @@
 An eigenvector of the Casimir operator valued in the rank extension of a
 label is determined by its zero-removal projection: every other component
 is obtained from the components one box below it, scaled by
--2 / (alpha_0 - alpha_q).  Those scalars and the single-box-transfer edges
-form a DAG rooted at q = 0; the denominators vanish exactly at the resonant
-weights, where no lift exists.
+-2 / (alpha_0 - alpha_q) = 2/(|q|(delta - r_q)), with the root r_q that
+`casimir.gap_roots` shares with `resonances`.  The scalars and the single-box
+edges form a DAG rooted at q = 0; the denominators vanish exactly at the
+resonant weights, where no lift exists.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..branching import BranchLabel, branch_labels, component
-from ..casimir import eigenvalue
+from ..casimir import eigenvalue, gap_roots
 from ..diagrams import IrrepLabel, extend_rank
 from ..errors import ResonantWeight
 from ..records import Record
@@ -54,28 +55,23 @@ def lift_plan(label: IrrepLabel, delta: Fraction) -> LiftPlan:
     """Nodes, single-box edges, and exact recursion scalars of the lift.
 
     Raises ResonantWeight when some denominator alpha_0 - alpha_q vanishes
-    at the requested weight.
+    at the requested weight, that is when delta is the gap root r_q.
     """
     delta = Fraction(delta)
     parent = extend_rank(label)
     labels = branch_labels(parent)
     m = label.rank
-    children = [component(parent, q) for q in labels]
-    alpha = [eigenvalue(child)(delta) for child in children]
-    base = alpha[0]  # q = 0 comes first in lexicographic order
-    nodes = []
-    for q, child, value in zip(labels, children, alpha):
-        if q.norm == 0:
-            nodes.append(LiftNode(q, child, None))
-            continue
-        gap = base - value
-        if gap == 0:
+    nodes = [LiftNode(labels[0], component(parent, labels[0]), None)]  # q = 0 comes first
+    for q, root in zip(labels[1:], gap_roots(label)):
+        child = component(parent, q)
+        if root == delta:
+            alpha = eigenvalue(nodes[0].component)(delta)
             raise ResonantWeight(
                 f"eigenvalue collision at removal q = {q} for delta = {delta}: component "
-                f"({child}) shares the eigenvalue alpha = {base} of the base component",
+                f"({child}) shares the eigenvalue alpha = {alpha} of the base component",
                 delta,
             )
-        nodes.append(LiftNode(q, child, Fraction(-2) / gap))
+        nodes.append(LiftNode(q, child, 2 / (q.norm * (delta - root))))
     # edges reuse the node labels, looked up by padded removal vector
     by_padded = {q.padded(m): q for q in labels}
     edges = []

@@ -628,6 +628,19 @@ def random_diagram(rng, max_size: int, max_depth: int) -> Rows:
     return tuple(rows)
 
 
+def all_canonical_diagrams(max_size: int, rank: int):
+    """Rows of every diagram with at most `max_size` boxes and depth below `rank`."""
+    seen = set()
+    for depth in range(0, rank):
+        for rows in product(range(max_size, 0, -1), repeat=depth):
+            if any(a < b for a, b in zip(rows, rows[1:])):
+                continue
+            if sum(rows) > max_size or rows in seen:
+                continue
+            seen.add(rows)
+            yield rows
+
+
 def random_canonical_label(
     rng,
     rank: int,

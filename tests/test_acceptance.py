@@ -8,7 +8,6 @@ import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import product
 
 from projquant import (
     EigenvaluePoly,
@@ -36,6 +35,7 @@ from projquant.flatmodel import (
     young_section,
 )
 from support import (
+    all_canonical_diagrams,
     assert_solve_singular_exactly_on_formula,
     char_eval,
     random_canonical_label,
@@ -54,18 +54,6 @@ def criterion(number: int, description: str):
         print(f"ACCEPTANCE {number}: FAIL - {description}", file=sys.stderr)
         raise
     print(f"ACCEPTANCE {number}: PASS - {description}")
-
-
-def all_canonical_diagrams(max_size: int, rank: int):
-    seen = set()
-    for depth in range(0, rank):
-        for rows in product(range(max_size, 0, -1), repeat=depth):
-            if any(a < b for a, b in zip(rows, rows[1:])):
-                continue
-            if sum(rows) > max_size or rows in seen:
-                continue
-            seen.add(rows)
-            yield rows
 
 
 def test_criterion_1_eigenvalue_oracle():

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -244,6 +245,51 @@ def test_byte_identical_output(capsys):
     assert first == second
 
 
+_PINNED_SWEEP = [
+    ["eigenvalue", "--m", "3", "--diagram", "2,1", "--n", "1", "--delta", "1/3"],
+    ["resonances", "--m", "4", "--diagram", "3,1", "--base", "1/2"],
+    ["branch", "--m", "4", "--diagram", "3,2,2"],
+    ["branch", "--m", "3", "--diagram", "2,1", "--n", "1", "--delta", "-1/2"],
+    ["decompose", "--v1", "D=2,1; m=3; n=1; delta=1/3",
+     "--v2", "D=3,1; m=3; n=0; delta=1/2", "-k", "2"],
+    ["quantize", "--m", "3", "-k", "3", "--lambda", "1/3", "--mu", "1/7"],
+    ["quantize", "--m", "3", "-k", "3", "--lambda", "0", "--mu", "7/4"],
+    ["casimir-check", "--m", "3", "--diagram", "2,1", "--delta", "1/3", "--trials", "2",
+     "--max-degree", "2"],
+    ["--format", "table", "branch", "--m", "4", "--diagram", "3,1", "--n", "-1"],
+    ["--format", "table", "lift-plan", "--m", "3", "--diagram", "2,1", "--delta", "1/7"],
+]  # fmt: skip
+# lift-plan at 0, at 1/7 and at every resonance of each label
+_PINNED_LIFT_LABELS = [
+    ["--m", "3", "--diagram", "2,1", "--n", "-1"],
+    ["--m", "4", "--diagram", "2,1,1"],
+    ["--m", "4", "--diagram", "3,2", "--n", "1"],
+]
+
+
+def test_pinned_sweep_prints_the_pinned_bytes(capsys, monkeypatch):
+    # sha256 over (argv, exit code, stdout) of a fixed sweep of all seven
+    # subcommands; a refactor must leave every byte of it where it was
+    monkeypatch.delenv("PROJQUANT_FORMAT", raising=False)
+    calls = list(_PINNED_SWEEP)
+    for flags in _PINNED_LIFT_LABELS:
+        code, values = run_json(capsys, "resonances", *flags)
+        assert code == 0 and values
+        calls.append(["resonances", *flags])
+        for delta in ["0", "1/7", *values]:
+            calls.append(["lift-plan", *flags, "--delta", delta])
+    digest = hashlib.sha256()
+    codes = []
+    for argv in calls:
+        code, out = run_cli(capsys, *argv)
+        codes.append(code)
+        digest.update(repr((argv, code, out)).encode())
+    assert codes.count(1) == 12  # 11 resonant lift plans and the resonant quantize
+    assert digest.hexdigest() == (
+        "9e65f93f38b2f1c9fa6e2c33e692e6ae8b0bb4cfb4257f167256796898809802"
+    )
+
+
 def test_table_format(capsys):
     code, out = run_cli(
         capsys, "--format", "table", "resonances", "--m", "2", "--diagram", "1"
@@ -346,6 +392,19 @@ def test_label_with_a_zero_denominator_is_usage_error(capsys):
         main(["decompose", "--v1", label, "--v2", "D=1; m=2; n=0; delta=0", "-k", "1"])
     assert exc.value.code == 2
     assert f"invalid weight '1/0' in label text {label!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "label,field",
+    [("D=0; m=2; m=3; n=0; delta=0", "repeated field 'm'"),
+     ("D=1; m=2; n=0; delta=0; x=1", "unknown field 'x'")],
+)  # fmt: skip
+def test_label_with_a_repeated_or_unknown_field_is_usage_error(capsys, label, field):
+    # "m=2; m=3" used to read as rank 3 and decompose answered "rank mismatch"
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--v1", "D=1; m=2; n=0; delta=0", "--v2", label, "-k", "1"])
+    assert exc.value.code == 2
+    assert f"{field} in label text {label!r}" in capsys.readouterr().err
 
 
 def test_negative_rationals_after_a_space(capsys):
@@ -516,7 +575,8 @@ _SUBCOMMAND_FLAGS = {
 }
 _JUNK = st.sampled_from(
     ["", "x", "-", "--", "1/0", "0.5.1", "1,,2", "nan", "1,2", "-k", "--m", "D=1",
-     "D=1; m=2; n=0; delta=1/0"]
+     "D=1; m=2; n=0; delta=1/0", "D=0; m=2; m=3; n=0; delta=0",
+     "D=1; m=2; n=0; delta=0; x=1"]
 )
 
 

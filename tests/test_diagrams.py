@@ -63,6 +63,24 @@ def test_label_text_round_trip():
     assert IrrepLabel.parse(str(label)) == label
     trivial = canonicalize((), 2, 0, Fraction(-2, 3))
     assert IrrepLabel.parse(str(trivial)) == trivial
+    assert IrrepLabel.parse(" ; delta=0;; M=2; n=0; d=1 ;") == canonicalize((1,), 2)
+
+
+@pytest.mark.parametrize(
+    "text,problem",
+    [
+        ("D=0; m=2; m=3; n=0; delta=0", "repeated field 'm'"),
+        ("D=1; m=2; n=0; delta=0; M=3", "repeated field 'M'"),
+        ("D=1; m=2; n=0; delta=0; x=1", "unknown field 'x'"),
+        ("D=1; m=2; n=0; delta=0; rank", "unknown field 'rank'"),
+    ],
+)
+def test_label_parse_rejects_unknown_and_repeated_fields(text, problem):
+    # the first of a repeated field used to be overwritten, and a stray field
+    # ignored, so the label answered for text the caller did not write
+    with pytest.raises(ValueError) as exc:
+        IrrepLabel.parse(text)
+    assert str(exc.value) == f"{problem} in label text {text!r}"
 
 
 @settings(max_examples=100, deadline=None)

@@ -12,7 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import projquant
-from projquant import ResonantWeight, canonicalize, eigenvalue, resonances
+from projquant import (
+    ResonantWeight,
+    branch_labels,
+    canonicalize,
+    component,
+    eigenvalue,
+    extend_rank,
+    resonances,
+)
+from projquant.casimir import gap_roots
 from projquant.flatmodel import (
     Poly,
     PolyVectorField,
@@ -32,6 +41,7 @@ from projquant.flatmodel import (
 from projquant.flatmodel.algebra import matrix_trace
 import support
 from support import (
+    all_canonical_diagrams,
     dense_contraction_operator,
     dense_divergence,
     derived_casimir_kernels,
@@ -512,6 +522,32 @@ def test_lift_plan_resonant_denominators():
             lift_plan(label, delta)
     plan = lift_plan(label, Fraction(1, 3))
     assert all(node.coefficient is not None for node in plan.nodes[1:])
+
+
+def test_each_gap_root_goes_with_its_own_removal_vector():
+    # against `eigenvalue` of each component: alpha_0 - alpha_q must be
+    # |q| (r_q - delta) with the root gap_roots pairs with q, and each lift
+    # scalar -2 / (alpha_0 - alpha_q); a root paired with the wrong q fails both
+    delta = Fraction(1, 7)  # root denominators divide 2(m+1)|q|, free of 7 here
+    checked = 0
+    for m in range(2, 6):
+        for rows in all_canonical_diagrams(6, m):
+            for twist in (-1, 0, 2):
+                label = canonicalize(rows, m, twist)
+                parent = extend_rank(label)
+                removals = branch_labels(parent)
+                alpha = [eigenvalue(component(parent, q)) for q in removals]
+                roots = gap_roots(label)
+                assert len(roots) == len(removals) - 1 and delta not in roots
+                for q, alpha_q, root in zip(removals[1:], alpha[1:], roots):
+                    assert (alpha_q.c2, alpha_q.c1) == (alpha[0].c2, alpha[0].c1 + q.norm)
+                    assert alpha[0].c0 - alpha_q.c0 == q.norm * root
+                nodes = lift_plan(label, delta).nodes
+                assert [node.removals for node in nodes] == removals
+                for node, alpha_q in zip(nodes[1:], alpha[1:]):
+                    assert node.coefficient == -2 / (alpha[0](delta) - alpha_q(delta))
+                    checked += 1
+    assert checked == 843
 
 
 def test_lift_plan_scalars_step_the_quantization_coefficients():
