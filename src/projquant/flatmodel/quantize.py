@@ -5,14 +5,16 @@ The ansatz is the constant-coefficient divergence form
     Q(P) f = sum_{l=0..k} c_l < Div^l P, grad^{k-l} f >,      c_0 = 1.
 
 Translation and linear equivariance hold for every choice of the c_l, so
-the defining conditions come from the quadratic generators alone.  One
-symbol and one generator suffice: the symbol x_0^k d_0^k and the quadratic
-field of direction 0 give k equations in c_1..c_k.  They are lower
-bidiagonal, equation l holding c_(l-1) and c_l alone, so forward
-substitution solves them: the triangular recursion of Duval, Lecomte and
-Ovsienko.  Step l divides by a coefficient that vanishes only at a resonant
-weight, the zero of the factor (m + 2k - l)/(m + 1) - delta of the
-Lecomte-Ovsienko closed form.
+the defining conditions come from the quadratic generators alone.  Their
+solution is the Lecomte-Ovsienko product
+
+    c_l = C(k, l) prod_{j=1..l} (lam + (k - j)/(m + 1)) / ((m + 2k - j)/(m + 1) - delta),
+
+the triangular recursion of Duval, Lecomte and Ovsienko in closed form.
+The denominator of factor j vanishes only at a resonant weight.  Each
+solve is checked against the defining equation itself, for the symbol
+x_0^k d_0^k and the quadratic field of direction 0, which alone determine
+c_1..c_k.
 """
 
 from __future__ import annotations
@@ -81,28 +83,16 @@ def quantization_operator(
     return total
 
 
-def _residual_family(m, lam, mu, symbol):
-    """Operators O_l with residual(c) = sum_l c_l O_l for the quadratic generator."""
-    field = quadratic_generator(m)
-    lie_in = lie_operator(field, lam)
-    lie_out = lie_operator(field, mu)
-    ops = [contraction_operator(t, lam, mu) for t in divergence_tower(symbol)]
-    moved_tower = divergence_tower(lie_derivative(field, symbol))
-    return [
-        compose(lie_out, op) - compose(op, lie_in) - contraction_operator(moved, lam, mu)
-        for op, moved in zip(ops, moved_tower)
-    ]
-
-
 def density_quant_coefficients(m, k, lam, mu) -> QuantCoefficients:
-    """Solve the quadratic-generator conditions exactly at fixed weights.
+    """The divergence-ansatz constants at fixed weights, by the closed form.
 
-    The residual of the symbol x_0^k d_0^k is lower bidiagonal in c_1..c_k:
-    its x_0^(k-l+1) d_0^(k-l) term reads b_l c_(l-1) + a_l c_l = 0, so
-    forward substitution gives c_l = -b_l c_(l-1) / a_l.  Each a_l is affine
-    in delta and vanishes only at (m + 2k - l)/(m + 1); there this raises
-    ResonantWeight, inconsistent when b_l c_(l-1) != 0 and rank-deficient
-    otherwise.  The whole residual is then checked to vanish.
+    Step j of the Lecomte-Ovsienko product multiplies by
+    (k - j + 1)(lam + (k - j)/(m + 1)) / (j ((m + 2k - j)/(m + 1) - delta)).
+    A vanishing denominator raises ResonantWeight, inconsistent when the
+    step's numerator times c_(j-1) is nonzero and rank-deficient otherwise.
+    The values are then checked against the defining equation
+    [L_X, Q(P)] = Q(L_X P) for the quadratic field X of direction 0 and the
+    symbol P = x_0^k d_0^k; a nonzero defect raises RuntimeError.
     """
     lam = Fraction(lam)
     mu = Fraction(mu)
@@ -113,35 +103,27 @@ def density_quant_coefficients(m, k, lam, mu) -> QuantCoefficients:
     if k == 0:
         return QuantCoefficients((Fraction(1),))
     delta = mu - lam
-
-    def resonant(problem: str) -> ResonantWeight:
-        # name the closed-form factor (m + 2k - j)/(m + 1) - delta that is zero
-        j = m + 2 * k - delta * (m + 1)
-        if j.denominator == 1 and 1 <= j <= k:
-            cause = f"factor j = {j}, (m+2k-j)/(m+1) = {delta} vanishes"
-        else:
-            cause = f"delta is none of the factors (m+2k-j)/(m+1), j = 1..{k}"
-        return ResonantWeight(f"quantization {problem} at delta = {delta}: {cause}", delta)
-
-    pad = (0,) * (m - 1)
-    symbol = TensorSection(m, k, 0, delta, {(0,) * k: Poly.monomial(m, (k,) + pad)})
-    family = _residual_family(m, lam, mu, symbol)
-
-    def entry(op: DiffOperator, order: int):
-        # the x_0^(order+1) d_0^order coefficient of one residual operator
-        p = op.coeffs.get((order,) + pad)
-        return p.coeffs.get((order + 1,) + pad, 0) if p else 0
-
+    # the Poly degree bound raises OverflowError here, before any resonance
+    symbol = TensorSection(m, k, 0, delta, {(0,) * k: Poly.monomial(m, (k,) + (0,) * (m - 1))})
     values = [Fraction(1)]
-    for level in range(1, k + 1):
-        b = entry(family[level - 1], k - level) * values[-1]
-        a = entry(family[level], k - level)
-        if a == 0:
-            raise resonant("system inconsistent" if b else "system rank-deficient")
-        values.append(-b / a)
-    residual = DiffOperator(m, {}, lam, mu)
-    for c, op in zip(values, family):
-        residual = residual + op.scale(c)
+    for j in range(1, k + 1):
+        num = (k - j + 1) * (lam + Fraction(k - j, m + 1))
+        den = j * (Fraction(m + 2 * k - j, m + 1) - delta)
+        if den == 0:
+            problem = "inconsistent" if num * values[-1] else "rank-deficient"
+            raise ResonantWeight(
+                f"quantization system {problem} at delta = {delta}: "
+                f"factor j = {j}, (m+2k-j)/(m+1) = {delta} vanishes",
+                delta,
+            )
+        values.append(values[-1] * num / den)
+    field = quadratic_generator(m)
+    qop = quantization_operator(symbol, values, lam, mu)
+    residual = (
+        compose(lie_operator(field, mu), qop)
+        - compose(qop, lie_operator(field, lam))
+        - quantization_operator(lie_derivative(field, symbol), values, lam, mu)
+    )
     if residual:
         beta = min(residual.coeffs)
         term = min(residual.coeffs[beta].coeffs)
@@ -171,12 +153,11 @@ def quantize_densities(m, k, lam, mu, symbol: TensorSection):
 def solver_singular_deltas(m: int, k: int, lam=Fraction(1, 2)) -> tuple[Fraction, ...]:
     """All weight shifts at which the quantization solve degenerates, ascending.
 
-    They are the zeros of the factors (m + 2k - j)/(m + 1) - delta,
-    j = 1..k, of the Lecomte-Ovsienko closed form: the solve's system is
-    bidiagonal, so its determinant is the product of the diagonal
-    coefficients a_l, and a_l vanishes only at the factor j = l.  The set
-    does not depend on `lam`; the tests prove, from the determinant of the
-    solve's own rows, that the solve degenerates exactly there.
+    They are the zeros of the denominators (m + 2k - j)/(m + 1) - delta,
+    j = 1..k, of the Lecomte-Ovsienko product, where the solve raises
+    ResonantWeight.  The set does not depend on `lam`; the tests prove, from
+    the determinant of the sampled quadratic-generator equations, that the
+    equations degenerate exactly there.
     """
     return tuple(sorted(Fraction(m + 2 * k - j, m + 1) for j in range(1, k + 1)))
 

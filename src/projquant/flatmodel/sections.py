@@ -21,6 +21,7 @@ from collections import defaultdict
 from collections.abc import Mapping
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, permutations, product
+from math import comb
 
 from ..diagrams import YoungDiagram
 from ..records import Record
@@ -175,8 +176,19 @@ def _monomial_keys(rank: int, max_degree: int) -> tuple[int, ...]:
     return tuple(pack(exps) for exps in _exponents(rank, max_degree))
 
 
+_MONOMIAL_BUDGET = 10**6
+
+
 def random_polynomial(rank: int, max_degree: int, rng) -> Poly:
-    """Coefficients drawn from -3..3 for every monomial of degree <= max_degree."""
+    """Coefficients drawn from -3..3 for every monomial of degree <= max_degree.
+
+    More than _MONOMIAL_BUDGET monomials raises ValueError before any is listed.
+    """
+    if max_degree >= 0 and (count := comb(max_degree + rank, rank)) > _MONOMIAL_BUDGET:
+        raise ValueError(
+            f"{count} monomials of degree <= {max_degree} in {rank} variables "
+            f"exceed the budget of {_MONOMIAL_BUDGET}"
+        )
     keys = _monomial_keys(rank, max_degree)
     return _poly(_layout(rank), {key: c for key in keys if (c := rng.randint(-3, 3))}, 1)
 

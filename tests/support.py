@@ -36,14 +36,17 @@ from projquant.flatmodel import (
     Poly,
     PolyVectorField,
     TensorSection,
+    compose,
+    contraction_operator,
     density_quant_coefficients,
     lie_derivative,
+    lie_operator,
     proj_embedding,
     sl_basis,
 )
 from projquant.flatmodel.algebra import _matrix
 from projquant.flatmodel.poly import poly_sum
-from projquant.flatmodel.quantize import _residual_family
+from projquant.flatmodel.quantize import divergence_tower, quadratic_generator
 
 Rows = tuple[int, ...]
 
@@ -218,7 +221,8 @@ def closed_form_coefficients(m: int, k: int, lam, mu) -> tuple[Fraction, ...]:
 
         c_l = C(k, l) prod_{j=1..l} (lam + (k - j)/(m + 1)) / ((m + 2k - j)/(m + 1) - delta)
 
-    with delta = mu - lam, derived independently of the sampled solve."""
+    with delta = mu - lam.  The library evaluates the same product, so the
+    value tests also check the sampled equations of `_equations`."""
     delta = Fraction(mu) - Fraction(lam)
     values = []
     for level in range(k + 1):
@@ -235,7 +239,7 @@ class LinearSystem:
     Rows are (coefficients, rhs) pairs reduced against the pivots seen so
     far.  Feeding every equation of an overdetermined system through `add`
     classifies it: full-rank and consistent, rank-deficient, or inconsistent.
-    The general reference the quantization's forward substitution and the
+    The general reference the quantization's closed form and the
     Young-image ranks are checked against.
     """
 
@@ -276,11 +280,24 @@ class LinearSystem:
         return True
 
 
+def _residual_family(m, lam, mu, symbol):
+    """Operators O_l with residual(c) = sum_l c_l O_l for the quadratic generator."""
+    field = quadratic_generator(m)
+    lie_in = lie_operator(field, lam)
+    lie_out = lie_operator(field, mu)
+    ops = [contraction_operator(t, lam, mu) for t in divergence_tower(symbol)]
+    moved_tower = divergence_tower(lie_derivative(field, symbol))
+    return [
+        compose(lie_out, op) - compose(op, lie_in) - contraction_operator(moved, lam, mu)
+        for op, moved in zip(ops, moved_tower)
+    ]
+
+
 def _equations(m: int, k: int, lam, mu) -> dict:
     """Equations sum_{l>=1} c_l row[l-1] = rhs from the symbol x_0^k d_0^k,
     keyed by the (derivative, monomial) term of the residual they come from:
-    every term of the solve's residual, for the general elimination the
-    library's forward substitution is checked against."""
+    every term of the residual, for the general elimination the library's
+    closed form is checked against."""
     monomial = Poly.monomial(m, (k,) + (0,) * (m - 1))
     symbol = TensorSection(m, k, 0, mu - lam, {(0,) * k: monomial})
     rows = {}  # (beta, monomial) -> its coefficient in O_0..O_k
@@ -292,18 +309,19 @@ def _equations(m: int, k: int, lam, mu) -> dict:
 
 
 def assert_solve_singular_exactly_on_formula(m: int, k: int, lam) -> tuple[Fraction, ...]:
-    """Prove from the solve's own equations that the order-k solve at rank m
+    """Prove from the sampled equations that the order-k solve at rank m
     and weight lam degenerates exactly at delta = (m + 2k - j)/(m + 1),
     j = 1..k, and return those shifts in ascending order.
 
     Every entry of the equations is affine in delta by construction (each
     residual term passes through one weight-bearing Lie derivative); the
     assemblies at delta = 0, 1, 2 check it.  The determinant D of k
-    independent rows of the solve then has degree <= k, so agreeing with
+    independent rows then has degree <= k, so agreeing with
     C * prod_j (delta - r_j) at k + 2 points makes it that polynomial.  For
     any other row, residual * D has degree <= k + 1, and the solve succeeding
-    at the same k + 2 points makes it vanish identically: off the roots every
-    equation holds.  At each root the solve must fail.  The checks raise
+    (its guard checks the whole residual) at the same k + 2 points makes it
+    vanish identically: off the roots every equation holds.  At each root
+    the solve must fail.  The checks raise
     AssertionError explicitly, so they also run under python -O.
     """
     lam = Fraction(lam)
@@ -324,7 +342,7 @@ def assert_solve_singular_exactly_on_formula(m: int, k: int, lam) -> tuple[Fract
     system = LinearSystem(k)
     square = [key for key in sorted(rows) if system.add(row_at(points[0], key), 0)]
     if len(square) != k:
-        raise AssertionError("the solve's own rows do not determine the coefficients")
+        raise AssertionError("the sampled rows do not determine the coefficients")
     ratios = {
         det([row_at(d, key) for key in square]) / prod(d - r for r in roots) for d in points
     }

@@ -97,12 +97,15 @@ def test_quantize_high_order(capsys):
 
 
 def test_quantize_past_the_polynomial_degree_bound_is_domain_error(capsys):
-    code, payload = run_json(
-        capsys, "quantize", "--m", "8", "-k", "256", "--lambda", "1/2", "--mu", "1/3"
-    )
-    assert code == 1
-    assert payload["error"] == "domain error"
-    assert "exceeds total degree 255" in payload["message"]
+    # mu = 115/2 puts delta = 57 on the factor j = 7: the degree bound is
+    # checked before any resonance
+    for mu in ("1/3", "115/2"):
+        code, payload = run_json(
+            capsys, "quantize", "--m", "8", "-k", "256", "--lambda", "1/2", "--mu", mu
+        )
+        assert code == 1
+        assert payload["error"] == "domain error"
+        assert "exceeds total degree 255" in payload["message"]
 
 
 def test_quantize_resonant_diagnostic(capsys):
@@ -141,6 +144,17 @@ def test_casimir_check_stays_fast_at_a_large_rank(capsys):
     assert time.perf_counter() - start < 1
     assert code == 0
     assert payload["matches"] is True
+
+
+def test_casimir_check_over_the_monomial_budget_is_domain_error(capsys):
+    start = time.perf_counter()
+    code, payload = run_json(
+        capsys, "casimir-check", "--m", "2", "--diagram", "1", "--max-degree", "100000"
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert payload["error"] == "domain error"
+    assert payload["message"].startswith("5000150001 monomials of degree <= 100000")
 
 
 @pytest.mark.parametrize("seed", [9, 11, 12, 25])

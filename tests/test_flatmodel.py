@@ -282,6 +282,19 @@ def test_random_polynomial_draws_as_the_filtered_product():
                 assert new.random() == old.random()
 
 
+def test_random_polynomial_over_the_monomial_budget_raises_before_listing():
+    # about 5e9 exponent tuples: listing them would not finish
+    with pytest.raises(ValueError) as exc:
+        random_polynomial(2, 100000, random.Random(0))
+    assert str(exc.value) == (
+        "5000150001 monomials of degree <= 100000 in 2 variables "
+        "exceed the budget of 1000000"
+    )
+    # C(1414, 2) = 998991 is within the budget, C(1415, 2) = 1000405 is not
+    with pytest.raises(ValueError, match="^1000405 monomials"):
+        random_polynomial(2, 1413, random.Random(0))
+
+
 def test_lie_derivative_translation_kills_constants():
     m = 2
     field = proj_embedding([[0, 0, 1], [0, 0, 0], [0, 0, 0]])

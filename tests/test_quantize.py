@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from projquant import ResonantWeight, canonicalize, resonances
 from projquant.flatmodel import (
-    DiffOperator,
     Poly,
+    TensorSection,
     density_quant_coefficients,
     quantization_operator,
     quantize_densities,
@@ -153,6 +153,13 @@ def test_singular_deltas_match_resonances():
     assert solver_singular_deltas(2, 0) == ()
 
 
+def assert_solves_the_sampled_equations(m, k, lam, mu, values):
+    # every row of the quadratic-generator residual, summed independently of
+    # the product the library and closed_form_coefficients share
+    for key, (row, rhs) in _equations(m, k, lam, mu).items():
+        assert sum(c * x for c, x in zip(values[1:], row)) == rhs, key
+
+
 @pytest.mark.parametrize(
     "m,k",
     [(2, 6), (2, 7), (2, 8), (3, 6), (3, 7), (4, 6), (5, 4), (6, 3),
@@ -162,6 +169,7 @@ def test_high_order_matches_closed_form(m, k):
     lam, mu = Fraction(1, 2), Fraction(1, 3)
     got = density_quant_coefficients(m, k, lam, mu).values
     assert got == closed_form_coefficients(m, k, lam, mu)
+    assert_solves_the_sampled_equations(m, k, lam, mu, got)
     for j in (1, k):
         with pytest.raises(ResonantWeight):
             density_quant_coefficients(m, k, lam, lam + Fraction(m + 2 * k - j, m + 1))
@@ -184,7 +192,7 @@ def test_order_twelve_solves_in_under_a_second():
     assert elapsed < 1, elapsed
 
 
-def test_resonant_message_names_the_vanishing_factor(monkeypatch):
+def test_resonant_message_names_the_vanishing_factor():
     with pytest.raises(ResonantWeight) as exc:
         density_quant_coefficients(3, 5, Fraction(0), Fraction(11, 4))
     assert str(exc.value) == (
@@ -192,23 +200,6 @@ def test_resonant_message_names_the_vanishing_factor(monkeypatch):
         "factor j = 2, (m+2k-j)/(m+1) = 11/4 vanishes"
     )
     assert exc.value.delta == Fraction(11, 4)
-    # a system that cannot determine c_k fails at a shift no factor explains, and says so
-    family = quantize._residual_family
-
-    def without_a_k(m, lam, mu, symbol):
-        ops = family(m, lam, mu, symbol)
-        beta, mono = (0,) * m, (1,) + (0,) * (m - 1)
-        p = ops[-1].coeffs[beta]
-        coeffs = {**ops[-1].coeffs, beta: p - Poly.monomial(m, mono, p.coeffs[mono])}
-        ops[-1] = DiffOperator(m, coeffs, lam, mu)
-        return ops
-
-    monkeypatch.setattr(quantize, "_residual_family", without_a_k)
-    with pytest.raises(ResonantWeight) as exc:
-        density_quant_coefficients(2, 6, Fraction(3, 11), Fraction(1, 13))
-    assert str(exc.value).endswith(
-        "delta is none of the factors (m+2k-j)/(m+1), j = 1..6"
-    )
 
 
 def diagonal_key(m, k, level):
@@ -257,15 +248,15 @@ def solve_inputs(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(solve_inputs())
-def test_forward_substitution_classifies_as_the_general_elimination(inputs):
+def test_closed_form_classifies_as_the_general_elimination(inputs):
     m, k, lam, mu = inputs
     system = LinearSystem(k)
     for row, rhs in _equations(m, k, lam, mu).values():
         system.add(row, rhs)
     if not system.inconsistent and system.rank == k:
-        assert density_quant_coefficients(m, k, lam, mu).values == closed_form_coefficients(
-            m, k, lam, mu
-        )
+        got = density_quant_coefficients(m, k, lam, mu).values
+        assert got == closed_form_coefficients(m, k, lam, mu)
+        assert_solves_the_sampled_equations(m, k, lam, mu, got)
         return
     problem = "inconsistent" if system.inconsistent else "rank-deficient"
     with pytest.raises(ResonantWeight) as exc:
@@ -274,16 +265,19 @@ def test_forward_substitution_classifies_as_the_general_elimination(inputs):
     assert exc.value.delta == mu - lam
 
 
-def test_residual_off_the_two_diagonals_raises(monkeypatch):
-    family = quantize._residual_family
-    beta, mono = (0, 0, 0), (0, 1, 0)
+def test_stray_term_in_the_moved_symbol_raises(monkeypatch):
+    # the guard compares [L_X, Q(P)] with Q(L_X P); one stray component of
+    # L_X P leaves a residual term, named by the error
+    moved_symbol = quantize.lie_derivative
+    beta, mono = (4, 0, 0), (0, 1, 0)
 
-    def with_stray_term(m, lam, mu, symbol):
-        ops = family(m, lam, mu, symbol)
-        ops[-1] = ops[-1] + DiffOperator(m, {beta: Poly.monomial(m, mono)}, lam, mu)
-        return ops
+    def with_stray_component(field, section):
+        stray = {(0,) * section.degree: Poly.monomial(section.rank, mono)}
+        return moved_symbol(field, section) + TensorSection(
+            section.rank, section.degree, section.twist, section.weight, stray
+        )
 
-    monkeypatch.setattr(quantize, "_residual_family", with_stray_term)
+    monkeypatch.setattr(quantize, "lie_derivative", with_stray_component)
     with pytest.raises(RuntimeError) as exc:
         density_quant_coefficients(3, 4, Fraction(1, 2), Fraction(1, 3))
     assert str(exc.value).endswith(f"keeps derivative {beta} with monomial {mono}")
