@@ -84,14 +84,18 @@ def component(parent: IrrepLabel, q: BranchLabel) -> IrrepLabel:
     slacks = _row_slacks(parent)
     if len(q.removals) > m:
         raise ValueError(f"removal vector {q} too long for rank-{parent.rank} parent")
-    removals = q.padded(m)
-    for qi, slack in zip(removals, slacks):
+    for qi, slack in zip(q.padded(m), slacks):
         if qi > slack:
             raise ValueError(
                 f"removal vector {q} violates row bounds {slacks} of {parent}"
             )
-    d = parent.diagram.padded(m)
-    rows = tuple(d[i] - removals[i] for i in range(m))
+    return _component(parent, q)
+
+
+def _component(parent: IrrepLabel, q: BranchLabel) -> IrrepLabel:
+    """`component` for a q that `branch_labels(parent)` produced, unchecked."""
+    m = parent.rank - 1
+    rows = tuple(d - r for d, r in zip(parent.diagram.padded(m), q.padded(m)))
     return canonicalize(rows, m, parent.twist, parent.weight)
 
 

@@ -16,7 +16,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .branching import BranchLabel, branch_labels, component
+from .branching import BranchLabel, _component, branch_labels
 from .casimir import eigenvalue, resonances
 from .diagrams import IrrepLabel, YoungDiagram, canonicalize, dimension
 from .errors import ResonantWeight
@@ -127,7 +127,7 @@ def _cmd_branch(args) -> tuple[list, int]:
     child_rank = parent.rank - 1
     rows = []
     for q in branch_labels(parent):
-        child = component(parent, q)
+        child = _component(parent, q)
         rows.append(
             {
                 "q": _removals_text(q, child_rank),
@@ -159,6 +159,11 @@ def _cmd_quantize(args) -> tuple[list, int]:
     return [_fmt(c) for c in coeffs.values], 0
 
 
+# index tuples a casimir-check section may store: (3,3) at m = 6 has 46,656
+# and takes about 2.5 s, (3,3,2) at m = 5 has 390,625 and takes about 12 s
+_SECTION_BUDGET = 10**5
+
+
 def _cmd_casimir_check(args) -> tuple[dict, int]:
     import random
 
@@ -166,6 +171,12 @@ def _cmd_casimir_check(args) -> tuple[dict, int]:
     from .flatmodel.sections import random_section
 
     label = canonicalize(args.diagram.rows, args.m, args.n, args.delta)
+    m, boxes = label.rank, label.diagram.size
+    if (count := m**boxes) > _SECTION_BUDGET:
+        raise ValueError(
+            f"a section of diagram {label.diagram} at m = {m} stores up to "
+            f"{m}^{boxes} = {count} index tuples, over the budget of {_SECTION_BUDGET}"
+        )
     alpha = eigenvalue(label)(label.weight)
     rng = random.Random(args.seed)
     mismatch = None  # the first section component where C(s) and alpha s differ

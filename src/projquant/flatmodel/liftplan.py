@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..branching import BranchLabel, branch_labels, component
+from ..branching import BranchLabel, _component, branch_labels
 from ..casimir import eigenvalue, gap_roots
 from ..diagrams import IrrepLabel, extend_rank
 from ..errors import ResonantWeight
@@ -61,9 +61,9 @@ def lift_plan(label: IrrepLabel, delta: Fraction) -> LiftPlan:
     parent = extend_rank(label)
     labels = branch_labels(parent)
     m = label.rank
-    nodes = [LiftNode(labels[0], component(parent, labels[0]), None)]  # q = 0 comes first
+    nodes = [LiftNode(labels[0], _component(parent, labels[0]), None)]  # q = 0 comes first
     for q, root in zip(labels[1:], gap_roots(label)):
-        child = component(parent, q)
+        child = _component(parent, q)
         if root == delta:
             alpha = eigenvalue(nodes[0].component)(delta)
             raise ResonantWeight(

@@ -1,19 +1,20 @@
 """Differential operators with polynomial coefficients between density spaces.
 
 An operator is a finite sum C_beta d^beta keyed by derivative multi-indices.
-Operators compose through the Leibniz rule and act exactly on polynomial
-functions; the weights of the source and target density spaces ride along
-for bookkeeping.
+Operators compose through the Leibniz rule, combine linearly in one merge
+per multi-index, and act exactly on polynomial functions.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable
+from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 from ..records import Record
-from .poly import Poly, poly_sum
+from .poly import Poly, poly_combination, poly_sum
 from .sections import PolyVectorField, TensorSection
 
 MultiIndex = tuple[int, ...]
@@ -25,22 +26,14 @@ class DiffOperator(Record):
     Unlike the other records it is mutable and therefore unhashable.
     """
 
-    __slots__ = ("rank", "coeffs", "weight_in", "weight_out")
+    __slots__ = ("rank", "coeffs")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
 
-    def __init__(
-        self,
-        rank: int,
-        coeffs: dict[MultiIndex, Poly] | None = None,
-        weight_in: object = 0,
-        weight_out: object = 0,
-    ) -> None:
+    def __init__(self, rank: int, coeffs: dict[MultiIndex, Poly] | None = None) -> None:
         self.rank = rank
         self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
-        self.weight_in = weight_in
-        self.weight_out = weight_out
 
     @property
     def order(self) -> int:
@@ -48,28 +41,6 @@ class DiffOperator(Record):
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return DiffOperator(self.rank, out, self.weight_in, self.weight_out)
-
-    def __sub__(self, other: "DiffOperator") -> "DiffOperator":
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "DiffOperator":
-        return DiffOperator(
-            self.rank,
-            {k: v.scale(factor) for k, v in self.coeffs.items()},
-            self.weight_in,
-            self.weight_out,
-        )
 
     def apply(self, f: Poly) -> Poly:
         return poly_sum(
@@ -102,32 +73,33 @@ def compose(outer: DiffOperator, inner: DiffOperator) -> DiffOperator:
                     continue
                 gamma = tuple(a - t + b for a, t, b in zip(alpha, tau, beta))
                 parts[gamma].append(pa * q.scale(factor))
-    out = {gamma: poly_sum(rank, terms) for gamma, terms in parts.items()}
-    return DiffOperator(rank, out, inner.weight_in, outer.weight_out)
+    return DiffOperator(rank, {gamma: poly_sum(rank, terms) for gamma, terms in parts.items()})
+
+
+def operator_combination(rank: int, terms: Iterable[tuple[object, DiffOperator]]) -> DiffOperator:
+    """sum c * op over the (rational c, DiffOperator op) terms, merged into
+    one polynomial per derivative multi-index."""
+    terms = [(Fraction(c), op) for c, op in terms]
+    den = lcm(*(c.denominator for c, _ in terms))
+    parts: dict[MultiIndex, list[tuple[int, Poly]]] = defaultdict(list)
+    for c, op in terms:
+        for beta, p in op.coeffs.items():
+            parts[beta].append((c.numerator * (den // c.denominator), p))
+    return DiffOperator(rank, {b: poly_combination(rank, ps, den) for b, ps in parts.items()})
 
 
 def lie_operator(field_: PolyVectorField, weight) -> DiffOperator:
     """Lie derivative on weight-`weight` densities as a first-order operator."""
     m = field_.rank
-    coeffs: dict[MultiIndex, Poly] = {}
-    for j in range(m):
-        if field_.components[j]:
-            beta = [0] * m
-            beta[j] = 1
-            coeffs[tuple(beta)] = field_.components[j]
-    trace_term = field_.div.scale(weight)
-    if trace_term:
-        coeffs[(0,) * m] = trace_term
-    return DiffOperator(m, coeffs, weight, weight)
+    coeffs = {tuple(int(i == j) for i in range(m)): c for j, c in enumerate(field_.components)}
+    coeffs[(0,) * m] = field_.div.scale(weight)
+    return DiffOperator(m, coeffs)  # which drops the zero coefficients
 
 
-def contraction_operator(
-    tensor: TensorSection, weight_in, weight_out
-) -> DiffOperator:
+def contraction_operator(tensor: TensorSection) -> DiffOperator:
     """The operator f -> <T, grad^d f> pairing every slot with a derivative."""
     m = tensor.rank
     parts: dict[MultiIndex, list[Poly]] = defaultdict(list)
     for index, p in tensor.coeffs.items():
         parts[tuple(index.count(i) for i in range(m))].append(p)
-    out = {beta: poly_sum(m, terms) for beta, terms in parts.items()}
-    return DiffOperator(m, out, weight_in, weight_out)
+    return DiffOperator(m, {beta: poly_sum(m, terms) for beta, terms in parts.items()})

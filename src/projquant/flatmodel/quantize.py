@@ -25,7 +25,9 @@ from functools import lru_cache
 from ..errors import ResonantWeight
 from ..records import Record
 from .algebra import proj_embedding, sl_basis
-from .operators import DiffOperator, compose, contraction_operator, lie_operator
+from .operators import (
+    DiffOperator, compose, contraction_operator, lie_operator, operator_combination
+)
 from .poly import Poly
 from .sections import PolyVectorField, TensorSection, divergence, lie_derivative
 
@@ -71,16 +73,12 @@ def divergence_tower(symbol: TensorSection) -> list[TensorSection]:
     return tower
 
 
-def quantization_operator(
-    symbol: TensorSection, coefficients, lam, mu
-) -> DiffOperator:
+def quantization_operator(symbol: TensorSection, coefficients) -> DiffOperator:
     """Assemble Q(P) from a symbol and divergence-ansatz constants."""
     tower = divergence_tower(symbol)
-    total = DiffOperator(symbol.rank, {}, lam, mu)
-    for level, tensor in enumerate(tower):
-        op = contraction_operator(tensor, lam, mu)
-        total = total + op.scale(coefficients[level])
-    return total
+    return operator_combination(
+        symbol.rank, [(coefficients[l], contraction_operator(t)) for l, t in enumerate(tower)]
+    )
 
 
 def density_quant_coefficients(m, k, lam, mu) -> QuantCoefficients:
@@ -118,11 +116,11 @@ def density_quant_coefficients(m, k, lam, mu) -> QuantCoefficients:
             )
         values.append(values[-1] * num / den)
     field = quadratic_generator(m)
-    qop = quantization_operator(symbol, values, lam, mu)
-    residual = (
-        compose(lie_operator(field, mu), qop)
-        - compose(qop, lie_operator(field, lam))
-        - quantization_operator(lie_derivative(field, symbol), values, lam, mu)
+    qop = quantization_operator(symbol, values)
+    lie_in, lie_out = lie_operator(field, lam), lie_operator(field, mu)
+    moved = quantization_operator(lie_derivative(field, symbol), values)
+    residual = operator_combination(
+        m, [(1, compose(lie_out, qop)), (-1, compose(qop, lie_in)), (-1, moved)]
     )
     if residual:
         beta = min(residual.coeffs)
@@ -147,7 +145,7 @@ def quantize_densities(m, k, lam, mu, symbol: TensorSection):
     if symbol.twist != 0 or Fraction(symbol.weight) != mu - lam:
         raise ValueError("symbol must be twist-free with weight mu - lambda")
     coeffs = density_quant_coefficients(m, k, lam, mu)
-    return quantization_operator(symbol, coeffs.values, lam, mu), coeffs
+    return quantization_operator(symbol, coeffs.values), coeffs
 
 
 def solver_singular_deltas(m: int, k: int, lam=Fraction(1, 2)) -> tuple[Fraction, ...]:
@@ -198,16 +196,14 @@ def verify_equivariance(
     exact = {-1: True, 0: True, 1: True}
     failures = []
     # Q(P) does not depend on the generator
-    qops = [(symbol, quantization_operator(symbol, coefficients, lam, mu)) for symbol in symbols]
+    qops = [(symbol, quantization_operator(symbol, coefficients)) for symbol in symbols]
     for h in sl_basis(m):
         grading = generator_grading(h)
         field = proj_embedding(h)
         lie_in = lie_operator(field, lam)
         lie_out = lie_operator(field, mu)
         for si, (symbol, qop) in enumerate(qops):
-            moved = quantization_operator(
-                lie_derivative(field, symbol), coefficients, lam, mu
-            )
+            moved = quantization_operator(lie_derivative(field, symbol), coefficients)
             for fi, f in enumerate(functions):
                 lhs = lie_out.apply(qop.apply(f))
                 rhs = moved.apply(f) + qop.apply(lie_in.apply(f))

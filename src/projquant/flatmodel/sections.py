@@ -149,13 +149,25 @@ def young_section(
     for index, p in data.items():
         if len(index) != degree or not all(0 <= i < rank for i in index):
             raise ValueError(f"key {index} is not {degree} indices below {rank}")
-        segments = (sorted(set(permutations(index[s : s + r]))) for s, r in zip(starts, rows))
+        segments = (_rearrangements(tuple(sorted(index[s : s + r]))) for s, r in zip(starts, rows))
         for spread in product(*segments):
             spread = sum(spread, ())
             for order, sign in moves:
                 parts[tuple(spread[o] for o in order)].append((sign, p))
     out = {index: poly_combination(rank, terms) for index, terms in parts.items()}
     return TensorSection(rank, degree, twist, weight, out)
+
+
+def _rearrangements(segment: Index) -> list[Index]:
+    """Distinct rearrangements of a sorted tuple, in lexicographic order."""
+    if not segment:
+        return [()]
+    return [
+        (v,) + rest
+        for i, v in enumerate(segment)
+        if i == 0 or v != segment[i - 1]
+        for rest in _rearrangements(segment[:i] + segment[i + 1 :])
+    ]
 
 
 def _exponents(rank: int, max_degree: int) -> tuple[Index, ...]:

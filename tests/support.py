@@ -45,6 +45,7 @@ from projquant.flatmodel import (
     sl_basis,
 )
 from projquant.flatmodel.algebra import _matrix
+from projquant.flatmodel.operators import operator_combination
 from projquant.flatmodel.poly import poly_sum
 from projquant.flatmodel.quantize import divergence_tower, quadratic_generator
 
@@ -285,10 +286,17 @@ def _residual_family(m, lam, mu, symbol):
     field = quadratic_generator(m)
     lie_in = lie_operator(field, lam)
     lie_out = lie_operator(field, mu)
-    ops = [contraction_operator(t, lam, mu) for t in divergence_tower(symbol)]
+    ops = [contraction_operator(t) for t in divergence_tower(symbol)]
     moved_tower = divergence_tower(lie_derivative(field, symbol))
     return [
-        compose(lie_out, op) - compose(op, lie_in) - contraction_operator(moved, lam, mu)
+        operator_combination(
+            m,
+            [
+                (1, compose(lie_out, op)),
+                (-1, compose(op, lie_in)),
+                (-1, contraction_operator(moved)),
+            ],
+        )
         for op, moved in zip(ops, moved_tower)
     ]
 
@@ -372,7 +380,7 @@ def dense_divergence(section: TensorSection) -> TensorSection:
     return TensorSection(m, section.degree - 1, section.twist, section.weight, out)
 
 
-def dense_contraction_operator(tensor: TensorSection, weight_in, weight_out) -> DiffOperator:
+def dense_contraction_operator(tensor: TensorSection) -> DiffOperator:
     """<T, grad^d f> by probing all m^d index tuples: the reference for the
     library's walk over stored components."""
     m = tensor.rank
@@ -386,7 +394,17 @@ def dense_contraction_operator(tensor: TensorSection, weight_in, weight_out) -> 
             key = tuple(beta)
             s = out.get(key)
             out[key] = p if s is None else s + p
-    return DiffOperator(m, out, weight_in, weight_out)
+    return DiffOperator(m, out)
+
+
+def operator_sum_by_beta(rank: int, terms) -> DiffOperator:
+    """sum c * op over (c, op) terms, one Poly.scale and one Poly + per term
+    and multi-index: the reference for the library's single merge."""
+    out: dict[tuple[int, ...], Poly] = {}
+    for c, op in terms:
+        for beta, p in op.coeffs.items():
+            out[beta] = out.get(beta, Poly.zero(rank)) + p.scale(c)
+    return DiffOperator(rank, out)
 
 
 def eigenvalue_by_double_sum(label: IrrepLabel) -> EigenvaluePoly:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import projquant
 from projquant import EigenvaluePoly, IrrepLabel, cli, eigenvalue
 from projquant.cli import main
+from projquant.flatmodel import sections
 from support import closed_form_coefficients
 
 
@@ -155,6 +156,32 @@ def test_casimir_check_over_the_monomial_budget_is_domain_error(capsys):
     assert code == 1
     assert payload["error"] == "domain error"
     assert payload["message"].startswith("5000150001 monomials of degree <= 100000")
+
+
+def test_casimir_check_over_the_section_budget_is_domain_error(capsys, monkeypatch):
+    # 5^8 index tuples took 12 s to check; the bound is raised before any draw
+    def no_draw(*args):
+        raise AssertionError("drew a section")
+
+    monkeypatch.setattr(sections, "random_section", no_draw)
+    code, payload = run_json(capsys, "casimir-check", "--m", "5", "--diagram", "3,3,2")
+    assert code == 1
+    assert payload == {
+        "error": "domain error",
+        "message": "a section of diagram 3,3,2 at m = 5 stores up to 5^8 = 390625 "
+        "index tuples, over the budget of 100000",
+    }
+
+
+def test_casimir_check_spreads_a_long_row_over_its_distinct_rearrangements(capsys):
+    # a row of 12 boxes at m = 2 stores 2^12 index tuples; listing all 12!
+    # orders of each row key took minutes
+    start = time.perf_counter()
+    code, payload = run_json(
+        capsys, "casimir-check", "--m", "2", "--diagram", "12", "--trials", "1", "--max-degree", "0"
+    )
+    assert time.perf_counter() - start < 10
+    assert code == 0 and payload["matches"] is True
 
 
 @pytest.mark.parametrize("seed", [9, 11, 12, 25])

@@ -23,6 +23,7 @@ from projquant import (
 )
 from projquant.casimir import gap_roots
 from projquant.flatmodel import (
+    DiffOperator,
     Poly,
     PolyVectorField,
     TensorSection,
@@ -39,6 +40,7 @@ from projquant.flatmodel import (
     young_section,
 )
 from projquant.flatmodel.algebra import matrix_trace
+from projquant.flatmodel.operators import operator_combination
 import support
 from support import (
     all_canonical_diagrams,
@@ -52,6 +54,7 @@ from support import (
     killing_form,
     matrix_bracket,
     max_coefficient_degree,
+    operator_sum_by_beta,
 )
 
 
@@ -188,14 +191,37 @@ def test_casimir_kernels_equal_the_lie_derivative_loop(section):
 
 
 @settings(max_examples=60, deadline=None)
-@given(tensor_sections(max_slots=4), st.fractions(-3, 3, max_denominator=7))
-def test_stored_component_walks_equal_the_dense_references(section, weight_in):
-    weight_out = weight_in + section.weight
-    assert contraction_operator(section, weight_in, weight_out) == dense_contraction_operator(
-        section, weight_in, weight_out
-    )
+@given(tensor_sections(max_slots=4))
+def test_stored_component_walks_equal_the_dense_references(section):
+    assert contraction_operator(section) == dense_contraction_operator(section)
     if section.degree:
         assert divergence(section) == dense_divergence(section)
+
+
+@st.composite
+def operator_terms(draw):
+    """(c, op) terms of one rank whose operators share multi-indices and
+    monomials often, so that sums cancel."""
+    m = draw(st.integers(2, 3))
+    small = st.tuples(*[st.integers(0, 1)] * m)
+    poly = st.dictionaries(small, st.fractions(-2, 2, max_denominator=3), max_size=3)
+    op = st.dictionaries(small, poly.map(lambda c: Poly(m, c)), max_size=3)
+    factor = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=5))
+    terms = st.lists(st.tuples(factor, op.map(lambda c: DiffOperator(m, c))), max_size=4)
+    return m, draw(terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(operator_terms())
+def test_operator_combination_equals_the_sum_by_beta(case):
+    m, terms = case
+    got = operator_combination(m, terms)
+    assert got == operator_sum_by_beta(m, terms)
+    assert all(got.coeffs.values())  # cancelled multi-indices are dropped
+    # the guard's `if residual:` needs an exact cancellation to be falsy
+    assert not operator_combination(m, terms + [(-c, op) for c, op in terms])
+    for _, op in terms:
+        assert not operator_combination(m, [(1, op), (-1, op)])
 
 
 def test_casimir_rejects_rank_below_two():

@@ -81,7 +81,7 @@ def test_symbol_preservation():
     symbol = random_section(m, (k,), 0, mu - lam, 2, rng)
     op, coeffs = quantize_densities(m, k, lam, mu, symbol)
     assert op.order == k
-    plain = quantization_operator(symbol, (1, 0, 0), lam, mu)
+    plain = quantization_operator(symbol, (1, 0, 0))
     for beta, p in op.coeffs.items():
         if sum(beta) == k:
             assert plain.coeffs[beta] == p
@@ -301,3 +301,25 @@ def test_resonant_messages_are_pinned():
                     lines.append(f"{exc.value}|{exc.value.delta}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == RESONANT_DIGEST
+
+
+OPERATOR_DIGEST = "3b0b050185e85b6f99d99eb13b7c785c1e579350621512bc8dd02b648080cf09"
+
+
+def test_quantization_operators_are_pinned():
+    # Q(P) for the solved and for fixed wrong constants at m = 2, 3, k <= 3
+    # and two weights, recorded while the tower was still summed pairwise
+    lines = []
+    for m in (2, 3):
+        for k in range(4):
+            for lam in (Fraction(1, 3), Fraction(-2, 5)):
+                delta = Fraction(1, 7)
+                symbol = random_section(m, (k,), 0, delta, 2, random.Random(1000 * m + 10 * k))
+                solved = density_quant_coefficients(m, k, lam, lam + delta).values
+                wrong = tuple(Fraction((-1) ** l, l + 1) for l in range(k + 1))
+                for values in (solved, wrong):
+                    op = quantization_operator(symbol, values)
+                    terms = sorted((b, sorted(p.coeffs.items())) for b, p in op.coeffs.items())
+                    lines.append(f"{m} {k} {lam} {terms}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == OPERATOR_DIGEST
