@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .branching import BranchLabel, _component, branch_labels
 from .casimir import eigenvalue, resonances
-from .diagrams import IrrepLabel, YoungDiagram, canonicalize, dimension
+from .diagrams import IrrepLabel, YoungDiagram, canonicalize, dimension, parse_rational
 from .errors import ResonantWeight
 
 # Each handler imports its own heavy layer (tensor, the flat-model engine), so
@@ -52,9 +52,9 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _diagram(text: str) -> YoungDiagram:

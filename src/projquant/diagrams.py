@@ -14,12 +14,35 @@ detection decidable.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable
 from fractions import Fraction
 
 from .records import Record
 
 Rows = tuple[int, ...]
+
+
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), with ValueError for any text it does not read.
+
+    Fraction computes 10**exponent with no bound, so "1e1000000000" would
+    build a number of about 400 MB.  Text whose digits and exponent together
+    pass the interpreter's integer-string limit is refused before any
+    arithmetic, as a plain numeral of that many digits already is.
+    """
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    mantissa, _, exponent = text.strip().lower().partition("e")
+    try:
+        size = sum(map(str.isdigit, mantissa)) + abs(int(exponent or 0))
+    except ValueError:
+        size = 0  # an exponent int() does not read: Fraction rejects it too
+    if size > limit:
+        raise ValueError(f"{text!r} spans more than {limit} digits with its exponent")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") divides
+        raise ValueError(f"not a rational number: {text!r}") from exc
 
 
 class YoungDiagram(Record):
@@ -136,9 +159,11 @@ class IrrepLabel(Record):
         if missing:
             raise ValueError(f"label text {text!r} is missing fields {sorted(missing)}")
         try:
-            weight = Fraction(fields["delta"])
-        except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") divides
-            raise ValueError(f"invalid weight {fields['delta']!r} in label text {text!r}") from exc
+            weight = parse_rational(fields["delta"])
+        except ValueError as exc:
+            raise ValueError(
+                f"invalid weight {fields['delta']!r} in label text {text!r}: {exc}"
+            ) from exc
         return cls(YoungDiagram.parse(fields["d"]), int(fields["m"]), int(fields["n"]), weight)
 
 

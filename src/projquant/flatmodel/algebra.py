@@ -19,7 +19,12 @@ The sum does not depend on the section and commutes with translations and
 with the Euler field, so it is a constant matrix on index tuples, and on a
 section with k slots it has a closed form in t = delta - n: the scalar
 (m/2) t(t-1), 1 - t on the diagonal of each slot, and (id + swap)/2(m+1) on
-each ordered pair of distinct slots.  `classical_casimir` applies that.
+each ordered pair of distinct slots.  `classical_casimir` applies that in
+integers, over the denominator 2(m+1)q^2 of t = p/q.  A swap never leaves
+the S_k orbit of an index tuple, so the operator works orbit by orbit; on
+an orbit stored in full with one polynomial, which is what a symmetric
+tensor holds, every swap returns that polynomial, and the whole orbit is
+one scaled copy.
 The derivation of the three parts from the Killing-dual field pairs, with
 the check that every surviving term is a constant, lives with the tests
 (`tests/support.py`), which compare it with the closed form rank by rank.
@@ -29,8 +34,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from itertools import combinations, groupby
+from math import factorial
 
 from .poly import Poly, poly_combination
 from .sections import PolyVectorField, TensorSection
@@ -100,33 +105,63 @@ def classical_casimir(section: TensorSection) -> TensorSection:
                  + (1/(m+1)) sum_{a<b} s^(I with slots a and b swapped),
 
     the scalar part, 1 - t from each slot, and (id + swap)/2(m+1) on each
-    of the k(k-1) ordered pairs of slots.  Each component costs one scaled
-    copy and k(k-1)/2 swaps, summed as integer numerators over one
-    denominator.  The derivation from the Killing-dual field pairs, with its
-    check that every term is a constant, is in tests/support.py; the tests
-    compare it with this form at m = 2..8, and this operator with the sum of
-    iterated Lie derivatives.  A rank below 2 raises ValueError.
+    of the k(k-1) ordered pairs of slots.  With t = p/q in lowest terms,
+    every factor is an integer over den = 2(m+1)q^2.
+
+    A swap keeps the multiset of an index tuple, so C maps each S_k orbit
+    of tuples into itself, and the orbits are applied one at a time.  When
+    all k!/prod(n_v!) tuples of an orbit are stored and compare equal to
+    one polynomial P, each of the k(k-1)/2 swaps of a tuple lands on a
+    stored tuple holding P, so C(s)^I = (diagonal + k(k-1)/2 swap)/den P
+    at every tuple of the orbit: one scaled copy, shared.  Any other orbit
+    (a tuple missing, or holding another polynomial) pays one scaled copy
+    and k(k-1)/2 swaps per component, summed over den.  Both paths give the
+    same reduced polynomials.  The derivation from the Killing-dual field
+    pairs, with its check that every term is a constant, is in
+    tests/support.py; the tests compare it with this form at m = 2..8, and
+    this operator with the sum of iterated Lie derivatives.  A rank below 2
+    raises ValueError.
     """
     m, k = section.rank, section.degree
     if m < 2:
         raise ValueError("rank must be at least 2")
-    t = section.weight - section.twist
-    scalar = Fraction(m, 2) * t * (t - 1) + k * (1 - t) + Fraction(k * (k - 1), 2 * (m + 1))
-    den = lcm(scalar.denominator, m + 1)
-    diagonal = scalar.numerator * (den // scalar.denominator)
-    swap = den // (m + 1)
+    q = section.weight.denominator
+    p = section.weight.numerator - section.twist * q
+    den = 2 * (m + 1) * q * q
+    diagonal = m * (m + 1) * p * (p - q) + 2 * (m + 1) * k * q * (q - p) + k * (k - 1) * q * q
+    swap = 2 * q * q
     slot_pairs = list(combinations(range(k), 2))
+    symmetric = diagonal + swap * len(slot_pairs)
+    orbits: dict[tuple[int, ...], list[tuple[tuple[int, ...], Poly]]] = defaultdict(list)
+    for index, poly in section.coeffs.items():
+        orbits[tuple(sorted(index))].append((index, poly))
+    out: dict[tuple[int, ...], Poly] = {}
     parts: dict[tuple[int, ...], list[tuple[int, Poly]]] = defaultdict(list)
-    for index, p in section.coeffs.items():
-        own = diagonal
-        for a, b in slot_pairs:
-            i, j = index[a], index[b]
-            if i == j:
-                own += swap
-            else:
-                swapped = index[:a] + (j,) + index[a + 1 : b] + (i,) + index[b + 1 :]
-                parts[swapped].append((swap, p))
-        if own:
-            parts[index].append((own, p))
-    out = {index: poly_combination(m, terms, den) for index, terms in parts.items()}
+    for orbit, members in orbits.items():
+        first = members[0][1]
+        if len(members) == _orbit_size(orbit) and all(poly == first for _, poly in members):
+            image = poly_combination(m, [(symmetric, first)], den)
+            for index, _ in members:
+                out[index] = image
+            continue
+        for index, poly in members:
+            own = diagonal
+            for a, b in slot_pairs:
+                i, j = index[a], index[b]
+                if i == j:
+                    own += swap
+                else:
+                    swapped = index[:a] + (j,) + index[a + 1 : b] + (i,) + index[b + 1 :]
+                    parts[swapped].append((swap, poly))
+            if own:
+                parts[index].append((own, poly))
+    out.update((index, poly_combination(m, terms, den)) for index, terms in parts.items())
     return TensorSection(m, k, section.twist, section.weight, out)
+
+
+def _orbit_size(orbit: tuple[int, ...]) -> int:
+    """Number of distinct rearrangements of a sorted index tuple."""
+    size = factorial(len(orbit))
+    for _, run in groupby(orbit):
+        size //= factorial(len(list(run)))
+    return size

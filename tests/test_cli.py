@@ -147,6 +147,19 @@ def test_casimir_check_stays_fast_at_a_large_rank(capsys):
     assert payload["matches"] is True
 
 
+def test_casimir_check_stays_fast_on_a_long_row(capsys):
+    # 2^16 index tuples in 17 complete orbits, each scaled once instead of
+    # swapped over 120 slot pairs per tuple
+    start = time.perf_counter()
+    code, payload = run_json(
+        capsys,
+        "casimir-check", "--m", "2", "--diagram", "16", "--max-degree", "0", "--trials", "1",
+    )  # fmt: skip
+    assert time.perf_counter() - start < 3
+    assert code == 0
+    assert payload["matches"] is True
+
+
 def test_casimir_check_over_the_monomial_budget_is_domain_error(capsys):
     start = time.perf_counter()
     code, payload = run_json(
@@ -433,6 +446,22 @@ def test_label_with_a_zero_denominator_is_usage_error(capsys):
         main(["decompose", "--v1", label, "--v2", "D=1; m=2; n=0; delta=0", "-k", "1"])
     assert exc.value.code == 2
     assert f"invalid weight '1/0' in label text {label!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["1e5000", "1e-5000"])
+def test_rational_past_the_digit_limit_is_usage_error(capsys, text):
+    # Fraction(text) would compute 10**5000, past what any answer can print
+    with pytest.raises(SystemExit) as exc:
+        main(["eigenvalue", "--m", "2", "--diagram", "1", f"--delta={text}"])
+    assert exc.value.code == 2
+    assert f"argument --delta: {text!r} spans more than" in capsys.readouterr().err
+    label = f"D=1; m=2; n=0; delta={text}"
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--v1", label, "--v2", "D=1; m=2; n=0; delta=0", "-k", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --v1: invalid weight {text!r} in label text {label!r}" in err
+    assert "spans more than" in err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from projquant import (
     extend_rank,
     extend_rank_dual,
 )
+from projquant import diagrams
+from projquant.diagrams import parse_rational
 from support import (
     char_eval,
     labels,
@@ -81,6 +84,22 @@ def test_label_parse_rejects_unknown_and_repeated_fields(text, problem):
     with pytest.raises(ValueError) as exc:
         IrrepLabel.parse(text)
     assert str(exc.value) == f"{problem} in label text {text!r}"
+
+
+def test_rational_text_is_refused_past_the_digit_limit(monkeypatch):
+    # Fraction computes 10**exponent unbounded, so the size is read first
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational("1" * limit) == int("1" * limit)
+    assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert parse_rational(" -2.5E-3 ") == Fraction(-1, 400)
+
+    def no_fraction(text):
+        raise AssertionError(f"Fraction({text!r}) was called")
+
+    monkeypatch.setattr(diagrams, "Fraction", no_fraction)
+    for text in ("1" * (limit + 1), f"1e{limit}", "1e-5000", "2.5e+1000000000"):
+        with pytest.raises(ValueError, match=f"spans more than {limit} digits"):
+            parse_rational(text)
 
 
 @settings(max_examples=100, deadline=None)

@@ -190,6 +190,49 @@ def test_casimir_kernels_equal_the_lie_derivative_loop(section):
     assert classical_casimir(section) == direct_casimir(section)
 
 
+@st.composite
+def orbit_sections(draw):
+    """Sections built S_k orbit by orbit, where `classical_casimir` takes one
+    of its two paths: an orbit stored in full with one polynomial, in full
+    with one member changed, with one member missing and the rest equal, or
+    as unsymmetrized components.  Weights are ints or Fractions."""
+    m = draw(st.integers(2, 4))
+    slots = draw(st.integers(0, 4))
+    monomial = st.tuples(*[st.integers(0, 2)] * m)
+    coefficient = st.fractions(-3, 3, max_denominator=7).filter(bool)
+    poly = st.dictionaries(monomial, coefficient, min_size=1, max_size=3).map(
+        lambda c: Poly(m, c)
+    )
+    keys = st.lists(st.integers(0, m - 1), min_size=slots, max_size=slots).map(
+        lambda index: tuple(sorted(index))
+    )
+    coeffs = {}
+    for key in draw(st.lists(keys, max_size=3, unique=True)):
+        orbit = sorted(set(permutations(key)))
+        kind = draw(st.sampled_from(("complete", "changed", "missing", "unsymmetrized")))
+        if kind == "unsymmetrized":
+            for index in draw(st.lists(st.sampled_from(orbit), unique=True, max_size=4)):
+                coeffs[index] = draw(poly)
+            continue
+        p = draw(poly)
+        coeffs.update(dict.fromkeys(orbit, p))
+        if kind == "changed":
+            coeffs[draw(st.sampled_from(orbit))] = draw(poly.filter(lambda other: other != p))
+        elif kind == "missing":
+            del coeffs[draw(st.sampled_from(orbit))]
+    twist = draw(st.integers(-2, 2))
+    weight = draw(st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=7)))
+    return TensorSection(m, slots, twist, weight, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orbit_sections())
+def test_casimir_orbit_rule_equals_the_lie_derivative_loop(section):
+    # a complete orbit of one polynomial is scaled once; every other orbit,
+    # a missing or a changed member included, is summed swap by swap
+    assert classical_casimir(section) == direct_casimir(section)
+
+
 @settings(max_examples=60, deadline=None)
 @given(tensor_sections(max_slots=4))
 def test_stored_component_walks_equal_the_dense_references(section):
