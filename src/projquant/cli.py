@@ -15,6 +15,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from math import log10
 
 from .branching import BranchLabel, _component, branch_labels
 from .casimir import eigenvalue, resonances
@@ -84,8 +85,18 @@ def _int_at_least(low: int):
     return parse
 
 
-def _fmt(value) -> str:
-    return str(Fraction(value))
+def _fmt(value, name: str) -> str:
+    """value as "p/q"; ValueError naming the output when its integers pass
+    the interpreter's digit limit, which the input can stay within."""
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError as exc:
+        bits = max(abs(value.numerator), value.denominator).bit_length()
+        raise ValueError(
+            f"output {name} has about {int(bits * log10(2)) + 1} digits, past the limit of "
+            f"{sys.get_int_max_str_digits()} digits for integer string conversion"
+        ) from exc
 
 
 def _removals_text(q: BranchLabel, rank: int) -> str:
@@ -97,7 +108,7 @@ def _label_payload(label: IrrepLabel) -> dict:
         "label": str(label),
         "diagram": str(label.diagram),
         "n": label.twist,
-        "delta": _fmt(label.weight),
+        "delta": _fmt(label.weight, "delta"),
     }
 
 
@@ -107,10 +118,10 @@ def _cmd_eigenvalue(args) -> tuple[dict, int]:
     payload = _label_payload(label)
     payload.update(
         {
-            "c0": _fmt(poly.c0),
-            "c1": _fmt(poly.c1),
-            "c2": _fmt(poly.c2),
-            "alpha": _fmt(poly(label.weight)),
+            "c0": _fmt(poly.c0, "c0"),
+            "c1": _fmt(poly.c1, "c1"),
+            "c2": _fmt(poly.c2, "c2"),
+            "alpha": _fmt(poly(label.weight), "alpha"),
         }
     )
     return payload, 0
@@ -119,7 +130,7 @@ def _cmd_eigenvalue(args) -> tuple[dict, int]:
 def _cmd_resonances(args) -> tuple[list, int]:
     label = canonicalize(args.diagram.rows, args.m, args.n, 0)
     values = resonances(label, base=args.base)
-    return [_fmt(v) for v in sorted(values)], 0
+    return [_fmt(v, "resonance") for v in sorted(values)], 0
 
 
 def _cmd_branch(args) -> tuple[list, int]:
@@ -156,7 +167,7 @@ def _cmd_quantize(args) -> tuple[list, int]:
     from .flatmodel.quantize import density_quant_coefficients
 
     coeffs = density_quant_coefficients(args.m, args.k, args.lam, args.mu)
-    return [_fmt(c) for c in coeffs.values], 0
+    return [_fmt(c, "coefficient") for c in coeffs.values], 0
 
 
 # index tuples a casimir-check section may store: (3,3) at m = 6 has 46,656
@@ -196,7 +207,7 @@ def _cmd_casimir_check(args) -> tuple[dict, int]:
             break
     payload = _label_payload(label)
     payload.update(
-        {"alpha": _fmt(alpha), "trials": args.trials, "matches": mismatch is None}
+        {"alpha": _fmt(alpha, "alpha"), "trials": args.trials, "matches": mismatch is None}
     )
     if mismatch is not None:
         payload["first_mismatch"] = list(mismatch)
@@ -211,13 +222,15 @@ def _cmd_lift_plan(args) -> tuple[dict, int]:
     child_rank = label.rank
     payload = {
         "label": str(label),
-        "delta": _fmt(plan.delta),
+        "delta": _fmt(plan.delta, "delta"),
         "nodes": [
             {
                 "q": _removals_text(node.removals, child_rank),
                 "diagram": str(node.component.diagram),
                 "label": str(node.component),
-                "coefficient": None if node.coefficient is None else _fmt(node.coefficient),
+                "coefficient": (
+                    None if node.coefficient is None else _fmt(node.coefficient, "coefficient")
+                ),
             }
             for node in plan.nodes
         ],
@@ -347,16 +360,16 @@ def _emit(payload, fmt: str) -> None:
 def _resonance_diagnostic(exc: ResonantWeight, args) -> dict:
     payload = {"error": "resonant weight", "message": str(exc)}
     if exc.delta is not None:
-        payload["delta"] = _fmt(exc.delta)
+        payload["delta"] = _fmt(exc.delta, "delta")
     m = getattr(args, "m", None)
     k = getattr(args, "k", None)
     if m is not None and k is not None:
         from .flatmodel.quantize import solver_singular_deltas
 
         singular = solver_singular_deltas(m, k)
-        payload["singular_deltas"] = [_fmt(v) for v in singular]
+        payload["singular_deltas"] = [_fmt(v, "singular delta") for v in singular]
         if exc.delta is not None and exc.delta in singular:
-            payload["offending_denominator"] = f"delta - ({_fmt(exc.delta)})"
+            payload["offending_denominator"] = f"delta - ({_fmt(exc.delta, 'delta')})"
     return payload
 
 

@@ -21,10 +21,13 @@ section with k slots it has a closed form in t = delta - n: the scalar
 (m/2) t(t-1), 1 - t on the diagonal of each slot, and (id + swap)/2(m+1) on
 each ordered pair of distinct slots.  `classical_casimir` applies that in
 integers, over the denominator 2(m+1)q^2 of t = p/q.  A swap never leaves
-the S_k orbit of an index tuple, so the operator works orbit by orbit; on
+the S_k orbit of an index tuple, so the operator works orbit by orbit.  On
 an orbit stored in full with one polynomial, which is what a symmetric
-tensor holds, every swap returns that polynomial, and the whole orbit is
-one scaled copy.
+tensor holds, every swap returns that polynomial; on an orbit of k
+distinct indices whose polynomials alternate in sign, which is what a
+one-column tensor holds, every swap returns its negation.  Either way the
+whole orbit is one scaled copy, negated on the odd tuples of an alternating
+orbit.
 The derivation of the three parts from the Killing-dual field pairs, with
 the check that every surviving term is a constant, lives with the tests
 (`tests/support.py`), which compare it with the closed form rank by rank.
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, groupby
 from math import factorial
 
@@ -110,17 +114,23 @@ def classical_casimir(section: TensorSection) -> TensorSection:
 
     A swap keeps the multiset of an index tuple, so C maps each S_k orbit
     of tuples into itself, and the orbits are applied one at a time.  When
-    all k!/prod(n_v!) tuples of an orbit are stored and compare equal to
-    one polynomial P, each of the k(k-1)/2 swaps of a tuple lands on a
-    stored tuple holding P, so C(s)^I = (diagonal + k(k-1)/2 swap)/den P
-    at every tuple of the orbit: one scaled copy, shared.  Any other orbit
-    (a tuple missing, or holding another polynomial) pays one scaled copy
-    and k(k-1)/2 swaps per component, summed over den.  Both paths give the
-    same reduced polynomials.  The derivation from the Killing-dual field
-    pairs, with its check that every term is a constant, is in
-    tests/support.py; the tests compare it with this form at m = 2..8, and
-    this operator with the sum of iterated Lie derivatives.  A rank below 2
-    raises ValueError.
+    all k!/prod(n_v!) tuples of an orbit are stored and follow a character
+    chi of S_k, tuple I holding chi(I) P, each of the k(k-1)/2 swaps of a
+    tuple lands on a stored tuple holding chi(swap) chi(I) P, so
+
+        C(s)^I = chi(I) (diagonal + chi(swap) k(k-1)/2 swap)/den P
+
+    at every tuple of the orbit: one scaled copy and its negation.  The
+    character is read from the stored polynomials: trivial when they all
+    compare equal (a symmetric tensor), the sign when the k indices are
+    distinct and the polynomials alternate (a one-column tensor).  Any
+    other orbit (a tuple missing, signs on a repeated index, or any other
+    polynomial) pays one scaled copy and k(k-1)/2 swaps per component,
+    summed over den.  Both paths give the same reduced polynomials.  The
+    derivation from the Killing-dual field pairs, with its check that every
+    term is a constant, is in tests/support.py; the tests compare it with
+    this form at m = 2..8, and this operator with the sum of iterated Lie
+    derivatives.  A rank below 2 raises ValueError.
     """
     m, k = section.rank, section.degree
     if m < 2:
@@ -131,18 +141,20 @@ def classical_casimir(section: TensorSection) -> TensorSection:
     diagonal = m * (m + 1) * p * (p - q) + 2 * (m + 1) * k * q * (q - p) + k * (k - 1) * q * q
     swap = 2 * q * q
     slot_pairs = list(combinations(range(k), 2))
-    symmetric = diagonal + swap * len(slot_pairs)
+    swaps = swap * len(slot_pairs)  # each onto a tuple holding chi(swap) times this one's
     orbits: dict[tuple[int, ...], list[tuple[tuple[int, ...], Poly]]] = defaultdict(list)
     for index, poly in section.coeffs.items():
         orbits[tuple(sorted(index))].append((index, poly))
     out: dict[tuple[int, ...], Poly] = {}
     parts: dict[tuple[int, ...], list[tuple[int, Poly]]] = defaultdict(list)
     for orbit, members in orbits.items():
-        first = members[0][1]
-        if len(members) == _orbit_size(orbit) and all(poly == first for _, poly in members):
-            image = poly_combination(m, [(symmetric, first)], den)
-            for index, _ in members:
-                out[index] = image
+        rule = _character(orbit, members)
+        if rule:
+            chi, flips = rule
+            image = poly_combination(m, [(diagonal + chi * swaps, members[0][1])], den)
+            flipped = -image if chi < 0 else image
+            for (index, _), flip in zip(members, flips):
+                out[index] = flipped if flip else image
             continue
         for index, poly in members:
             own = diagonal
@@ -159,6 +171,40 @@ def classical_casimir(section: TensorSection) -> TensorSection:
     return TensorSection(m, k, section.twist, section.weight, out)
 
 
+def _character(
+    orbit: tuple[int, ...], members: list[tuple[tuple[int, ...], Poly]]
+) -> tuple[int, list[bool]] | None:
+    """(chi, flips) when every tuple of the orbit is stored and the tuples
+    follow the character chi of S_k, read from the stored polynomials;
+    flips marks the tuples whose chi differs from the first tuple's.
+
+    chi = 1 when every tuple holds the first polynomial P.  chi = -1 when
+    the k indices are distinct (k! tuples) and tuple I holds sign(I) P up
+    to the first tuple's sign; on a repeated index the swap of the equal
+    slots fixes the tuple, so the sign is no character there.  None when
+    a tuple is missing or the polynomials follow neither.
+    """
+    if len(members) != _orbit_size(orbit):
+        return None
+    index, first = members[0]
+    if len(members) == 1 or members[1][1] == first:
+        chi, flips, other = 1, [False] * len(members), first
+    elif len(members) == factorial(len(orbit)):
+        odd = _odd(index)
+        chi, flips, other = -1, [_odd(i) != odd for i, _ in members], -first
+    else:
+        return None
+    if all(poly == (other if flip else first) for (_, poly), flip in zip(members, flips)):
+        return chi, flips
+    return None
+
+
+def _odd(index: tuple[int, ...]) -> bool:
+    """Whether a tuple is an odd rearrangement of its sorted order."""
+    return sum(a > b for a, b in combinations(index, 2)) % 2 == 1
+
+
+@lru_cache(maxsize=1024)
 def _orbit_size(orbit: tuple[int, ...]) -> int:
     """Number of distinct rearrangements of a sorted index tuple."""
     size = factorial(len(orbit))

@@ -3,7 +3,11 @@
 A polynomial stores integer numerators over one shared positive
 denominator.  Every result is reduced (the denominator is coprime to the
 numerators as a whole, and the zero polynomial has denominator 1), so
-equal polynomials have equal representations and compare equal.
+equal polynomials have equal representations and compare equal.  A sum is
+reduced after its one merge.  A scaled copy (`scale`, negation, a
+one-term combination) is reduced before it is built, the factor against
+the denominator and then the numerators' gcd against what is left, so it
+takes one pass over the terms.
 
 Each monomial is one packed int.  With a field width w that depends only on
 the number of variables, the exponent of variable i occupies bits
@@ -80,13 +84,15 @@ class _Layout:
 _layout = lru_cache(maxsize=None)(_Layout)
 
 
-def _poly(layout: _Layout, terms: dict[int, int], den: int) -> "Poly":
-    """Poly from packed terms with nonzero numerators over den > 0, reduced."""
-    if den != 1:
-        g = gcd(den, *terms.values())
-        if g != 1:
-            den //= g
-            terms = {k: v // g for k, v in terms.items()}
+def _poly(layout: _Layout, terms: dict[int, int], den: int, factor: int = 1) -> "Poly":
+    """Poly of factor times packed terms with nonzero numerators over den > 0,
+    for a nonzero factor coprime to den: reduced and scaled in one pass."""
+    g = gcd(den, *terms.values()) if den != 1 else 1
+    if g != 1:
+        den //= g
+        terms = {k: v // g * factor for k, v in terms.items()}
+    elif factor != 1:
+        terms = {k: v * factor for k, v in terms.items()}
     result = Poly.__new__(Poly)
     result._layout = layout
     result._terms = terms
@@ -104,9 +110,25 @@ def poly_combination(nvars: int, terms: Iterable[tuple[int, "Poly"]], den: int =
     return _combine(_layout(nvars), list(terms), den)
 
 
+def _scaled(layout: _Layout, c: int, p: "Poly", den: int = 1) -> "Poly":
+    """c * p / den for an int c and den > 0, reduced before the one pass over
+    p's terms: c against den times p's denominator, then p's numerators
+    against what is left.  A result equal to p shares p's terms."""
+    if not c or not p._terms:
+        return layout.zero
+    den *= p._den
+    g = gcd(c, den)
+    return _poly(layout, p._terms, den // g, c // g)
+
+
 def _combine(layout: _Layout, terms: list[tuple[int, "Poly"]], den: int = 1) -> "Poly":
     """The one merge loop: every c * p scaled to a common denominator and
-    summed into one dict, then reduced over that denominator times den."""
+    summed into one dict, then reduced over that denominator times den.
+    One term is a scaled copy."""
+    if len(terms) == 1:
+        (c, p), = terms
+        layout.require(p)
+        return _scaled(layout, c, p, den)
     if not terms:
         return layout.zero
     common = 1
@@ -221,7 +243,7 @@ class Poly:
         return _combine(self._layout, [(1, self), (-1, other)])
 
     def __neg__(self) -> "Poly":
-        return _poly(self._layout, {k: -v for k, v in self._terms.items()}, self._den)
+        return _scaled(self._layout, -1, self)
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
@@ -257,15 +279,7 @@ class Poly:
     def scale(self, factor) -> "Poly":
         if not isinstance(factor, (int, Fraction)):
             raise TypeError(f"scale factor {factor!r} is not an int or a Fraction")
-        num, den = factor.numerator, factor.denominator
-        if not num:
-            return self._layout.zero
-        if num == den:  # factor 1
-            return self
-        terms = self._terms
-        if num != 1:
-            terms = {k: v * num for k, v in terms.items()}
-        return _poly(self._layout, terms, self._den * den)
+        return _scaled(self._layout, factor.numerator, self, factor.denominator)
 
     def diff(self, index: int) -> "Poly":
         shift, unit, mask = self._layout.steps[index]

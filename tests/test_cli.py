@@ -464,6 +464,21 @@ def test_rational_past_the_digit_limit_is_usage_error(capsys, text):
     assert "spans more than" in err
 
 
+def test_output_past_the_digit_limit_is_domain_error(capsys):
+    # delta = 10^3000 is within the input limit, but alpha is about delta^2
+    limit = sys.get_int_max_str_digits()
+    code, payload = run_json(capsys, "eigenvalue", "--m", "2", "--diagram", "1", "--delta=1e3000")
+    assert code == 1
+    assert payload == {
+        "error": "domain error",
+        "message": f"output alpha has about 6001 digits, past the limit of {limit} digits "
+        "for integer string conversion",
+    }
+    # just inside the limit the same call answers
+    code, payload = run_json(capsys, "eigenvalue", "--m", "2", "--diagram", "1", "--delta=1e2000")
+    assert code == 0 and len(payload["alpha"]) == 4000
+
+
 @pytest.mark.parametrize(
     "label,field",
     [("D=0; m=2; m=3; n=0; delta=0", "repeated field 'm'"),

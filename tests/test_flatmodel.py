@@ -193,9 +193,14 @@ def test_casimir_kernels_equal_the_lie_derivative_loop(section):
 @st.composite
 def orbit_sections(draw):
     """Sections built S_k orbit by orbit, where `classical_casimir` takes one
-    of its two paths: an orbit stored in full with one polynomial, in full
-    with one member changed, with one member missing and the rest equal, or
-    as unsymmetrized components.  Weights are ints or Fractions."""
+    of its two paths.  Each orbit is stored in full under the trivial or the
+    sign character (tuple I holding P or sign(I) P), then left so or given
+    one member changed, one member's sign flipped or one member missing; or
+    it holds unsymmetrized components.  Signs on a key with a repeated index
+    follow no character, since the swap of the equal slots fixes the tuple.
+    Weights are ints or Fractions, or put t = delta - n at 1 or 2k/m, where
+    the sign character's factor diagonal - swap k(k-1)/2, which is
+    (m+1)(t-1)(mt-2k) q^2, vanishes (for k <= 1 so does the trivial one)."""
     m = draw(st.integers(2, 4))
     slots = draw(st.integers(0, 4))
     monomial = st.tuples(*[st.integers(0, 2)] * m)
@@ -203,34 +208,75 @@ def orbit_sections(draw):
     poly = st.dictionaries(monomial, coefficient, min_size=1, max_size=3).map(
         lambda c: Poly(m, c)
     )
-    keys = st.lists(st.integers(0, m - 1), min_size=slots, max_size=slots).map(
-        lambda index: tuple(sorted(index))
-    )
+    distinct = slots <= m and draw(st.booleans())
+    keys = st.lists(
+        st.integers(0, m - 1), min_size=slots, max_size=slots, unique=distinct
+    ).map(lambda index: tuple(sorted(index)))
     coeffs = {}
     for key in draw(st.lists(keys, max_size=3, unique=True)):
         orbit = sorted(set(permutations(key)))
-        kind = draw(st.sampled_from(("complete", "changed", "missing", "unsymmetrized")))
+        kind = draw(st.sampled_from(("complete", "changed", "flipped", "missing", "unsymmetrized")))
         if kind == "unsymmetrized":
             for index in draw(st.lists(st.sampled_from(orbit), unique=True, max_size=4)):
                 coeffs[index] = draw(poly)
             continue
-        p = draw(poly)
-        coeffs.update(dict.fromkeys(orbit, p))
+        p, chi = draw(poly), draw(st.sampled_from((1, -1)))
+        for index in orbit:
+            coeffs[index] = p.scale(chi ** sum(a > b for a, b in combinations(index, 2)))
+        target = draw(st.sampled_from(orbit))
+        held = coeffs[target]
         if kind == "changed":
-            coeffs[draw(st.sampled_from(orbit))] = draw(poly.filter(lambda other: other != p))
+            coeffs[target] = draw(poly.filter(lambda other: other != held))
+        elif kind == "flipped":
+            coeffs[target] = -held
         elif kind == "missing":
-            del coeffs[draw(st.sampled_from(orbit))]
+            del coeffs[target]
     twist = draw(st.integers(-2, 2))
-    weight = draw(st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=7)))
+    weight = draw(
+        st.one_of(
+            st.integers(-3, 3),
+            st.fractions(-3, 3, max_denominator=7),
+            st.sampled_from((1, Fraction(2 * slots, m))).map(lambda t: twist + t),
+        )
+    )
     return TensorSection(m, slots, twist, weight, coeffs)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(orbit_sections())
 def test_casimir_orbit_rule_equals_the_lie_derivative_loop(section):
-    # a complete orbit of one polynomial is scaled once; every other orbit,
-    # a missing or a changed member included, is summed swap by swap
+    # a complete orbit under the trivial or the sign character is scaled
+    # once; every other orbit, a changed, flipped or missing member or signs
+    # on a repeated index included, is summed swap by swap
     assert classical_casimir(section) == direct_casimir(section)
+
+
+# sha256 over every `classical_casimir` output of the sections below, taken
+# when only orbits of one polynomial were scaled in one step, before the
+# alternating orbits of one-column sections were
+CASIMIR_DIGEST = "32d2bdb131456985e1be38d4aff24a2eb0c412778fc71d7610d6ed128cded508"
+
+
+def test_casimir_outputs_are_pinned():
+    digest = hashlib.sha256()
+    weights = (Fraction(1, 3), Fraction(-5, 2), 2)
+    for m in range(2, 6):
+        rng = random.Random(2300 + m)
+        for rows in ((1, 1), (1, 1, 1), (2, 1), (2, 2), (3,)):
+            if len(rows) > m or (m == 5 and sum(rows) > 3):
+                continue
+            for twist, weight in zip((0, 1, -1), weights):
+                sections = [random_section(m, rows, twist, weight, 1, rng)]
+                for k in range(5):  # unsymmetrized: components at random tuples
+                    keys = [tuple(rng.randrange(m) for _ in range(k)) for _ in range(6)]
+                    data = {key: random_polynomial(m, 1, rng) for key in keys}
+                    sections.append(TensorSection(m, k, twist, weight, data))
+                for section in sections:
+                    image = classical_casimir(section)
+                    for index in sorted(image.coeffs):
+                        terms = sorted(image.coeffs[index].coeffs.items())
+                        digest.update(repr((index, terms)).encode())
+    assert digest.hexdigest() == CASIMIR_DIGEST
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,7 @@
 import copy
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +85,42 @@ def test_integer_combination_matches_reference(pair, factors, den):
         expected = expected + r.scale(Fraction(c, den))
     _same(poly_combination(nvars, zip(factors, polys), den), expected)
     _same(poly_sum(nvars, polys[: len(factors)]), sum(refs[: len(factors)], RefPoly(nvars)))
+
+
+# products of 2 and 3, so that factors, contents and denominators share primes
+SMOOTH = st.sampled_from((1, 2, 3, 4, 6, 9, 12))
+
+
+@st.composite
+def scaled_copies(draw):
+    """(nvars, c, p, den) for c * p / den, where c shares factors with den
+    and with p's denominator, and p's numerators share a content with den."""
+    nvars = draw(NVARS)
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * nvars)
+    numerators = draw(st.dictionaries(exps, st.integers(-5, 5).filter(bool), max_size=5))
+    content, p_den = draw(SMOOTH), draw(SMOOTH)
+    p = Poly(nvars, {e: Fraction(v * content, p_den) for e, v in numerators.items()})
+    c = draw(st.integers(min_value=-3, max_value=3)) * draw(SMOOTH)
+    return nvars, c, p, draw(SMOOTH)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scaled_copies())
+def test_scaled_copy_matches_reference_and_is_reduced(case):
+    nvars, c, p, den = case
+    ref = RefPoly(nvars, p.coeffs)
+    copies = [
+        (poly_combination(nvars, [(c, p)], den), ref.scale(Fraction(c, den))),
+        (p.scale(Fraction(c, den)), ref.scale(Fraction(c, den))),
+        (p.scale(c), ref.scale(c)),
+        (-p, -ref),
+    ]
+    for got, expected in copies:
+        _same(got, expected)
+        # one representation per value: numerators coprime to the denominator
+        # as a whole, and the zero polynomial over 1
+        assert gcd(got._den, *got._terms.values()) == 1
+        assert got._terms or got._den == 1
 
 
 @settings(max_examples=100, deadline=None)
