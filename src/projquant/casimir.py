@@ -26,11 +26,6 @@ class EigenvaluePoly(Record):
 
     __slots__ = ("c0", "c1", "c2")
 
-    def __init__(self, c0: Fraction, c1: Fraction, c2: Fraction) -> None:
-        object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-
     def __call__(self, delta: Fraction) -> Fraction:
         delta = Fraction(delta)
         return self.c0 + self.c1 * delta + self.c2 * delta * delta

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..branching import BranchLabel, _component, branch_labels
+from ..branching import _component, branch_labels
 from ..casimir import eigenvalue, gap_roots
 from ..diagrams import IrrepLabel, extend_rank
 from ..errors import ResonantWeight
@@ -21,30 +21,13 @@ from ..records import Record
 
 
 class LiftNode(Record):
-    __slots__ = ("removals", "component", "coefficient")
+    """Removal q, its component, and its lift scalar (None on the root)."""
 
-    def __init__(
-        self, removals: BranchLabel, component: IrrepLabel, coefficient: Fraction | None
-    ) -> None:
-        object.__setattr__(self, "removals", removals)
-        object.__setattr__(self, "component", component)
-        object.__setattr__(self, "coefficient", coefficient)  # None on the root
+    __slots__ = ("removals", "component", "coefficient")
 
 
 class LiftPlan(Record):
     __slots__ = ("label", "delta", "nodes", "edges")
-
-    def __init__(
-        self,
-        label: IrrepLabel,
-        delta: Fraction,
-        nodes: tuple[LiftNode, ...],
-        edges: tuple[tuple[BranchLabel, BranchLabel], ...],
-    ) -> None:
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
 
     @property
     def root(self) -> LiftNode:

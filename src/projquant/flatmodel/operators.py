@@ -21,19 +21,12 @@ MultiIndex = tuple[int, ...]
 
 
 class DiffOperator(Record):
-    """Sum of coefficient polynomials times iterated partial derivatives.
-
-    Unlike the other records it is mutable and therefore unhashable.
-    """
+    """Sum of nonzero coefficient polynomials times iterated partial derivatives."""
 
     __slots__ = ("rank", "coeffs")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, rank: int, coeffs: dict[MultiIndex, Poly] | None = None) -> None:
-        self.rank = rank
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
+        super().__init__(rank, {k: v for k, v in (coeffs or {}).items() if v})
 
     @property
     def order(self) -> int:

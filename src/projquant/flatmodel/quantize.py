@@ -29,7 +29,9 @@ from .operators import (
     DiffOperator, compose, contraction_operator, lie_operator, operator_combination
 )
 from .poly import Poly
-from .sections import PolyVectorField, TensorSection, divergence, lie_derivative
+from .sections import (
+    PolyVectorField, TensorSection, _rearrangements, divergence, lie_derivative
+)
 
 
 class QuantCoefficients(Record):
@@ -81,13 +83,23 @@ def quantization_operator(symbol: TensorSection, coefficients) -> DiffOperator:
     )
 
 
+# (m + 4)(k + 4) at most this.  On a 2-vCPU machine with Python 3.11 the
+# calls along its edge, (2, 262), (6, 150), (12, 96), (36, 36) and (316, 1),
+# take 0.9-2.1 s, nearly all of it in the residual check and, at large m,
+# in `proj_embedding`; past it (1000, 1) took 12 s
+_QUANTIZE_BUDGET = 1600
+
+
 def density_quant_coefficients(m, k, lam, mu) -> QuantCoefficients:
     """The divergence-ansatz constants at fixed weights, by the closed form.
 
     Step j of the Lecomte-Ovsienko product multiplies by
     (k - j + 1)(lam + (k - j)/(m + 1)) / (j ((m + 2k - j)/(m + 1) - delta)).
-    A vanishing denominator raises ResonantWeight, inconsistent when the
-    step's numerator times c_(j-1) is nonzero and rank-deficient otherwise.
+    The denominator of step j = m + 2k - (m + 1) delta vanishes when that j
+    is in 1..k, which raises ResonantWeight: rank-deficient when the
+    numerator of a step i <= j vanishes (i = k + (m + 1) lam), so that
+    c_(j-1) or step j is zero, and inconsistent otherwise.  Past the size
+    budget on (m, k) a ValueError is raised before the product is formed.
     The values are then checked against the defining equation
     [L_X, Q(P)] = Q(L_X P) for the quadratic field X of direction 0 and the
     symbol P = x_0^k d_0^k; a nonzero defect raises RuntimeError.
@@ -103,17 +115,24 @@ def density_quant_coefficients(m, k, lam, mu) -> QuantCoefficients:
     delta = mu - lam
     # the Poly degree bound raises OverflowError here, before any resonance
     symbol = TensorSection(m, k, 0, delta, {(0,) * k: Poly.monomial(m, (k,) + (0,) * (m - 1))})
+    j = m + 2 * k - (m + 1) * delta  # the step whose denominator vanishes
+    if j.denominator == 1 and 1 <= j <= k:
+        i = k + (m + 1) * lam  # the step whose numerator vanishes
+        problem = "rank-deficient" if i.denominator == 1 and 1 <= i <= j else "inconsistent"
+        raise ResonantWeight(
+            f"quantization system {problem} at delta = {delta}: "
+            f"factor j = {j}, (m+2k-j)/(m+1) = {delta} vanishes",
+            delta,
+        )
+    if (size := (m + 4) * (k + 4)) > _QUANTIZE_BUDGET:
+        raise ValueError(
+            f"order k = {k} at rank m = {m} has (m+4)(k+4) = {size}, "
+            f"over the budget of {_QUANTIZE_BUDGET}"
+        )
     values = [Fraction(1)]
     for j in range(1, k + 1):
         num = (k - j + 1) * (lam + Fraction(k - j, m + 1))
         den = j * (Fraction(m + 2 * k - j, m + 1) - delta)
-        if den == 0:
-            problem = "inconsistent" if num * values[-1] else "rank-deficient"
-            raise ResonantWeight(
-                f"quantization system {problem} at delta = {delta}: "
-                f"factor j = {j}, (m+2k-j)/(m+1) = {delta} vanishes",
-                delta,
-            )
         values.append(values[-1] * num / den)
     field = quadratic_generator(m)
     qop = quantization_operator(symbol, values)
@@ -133,10 +152,11 @@ def density_quant_coefficients(m, k, lam, mu) -> QuantCoefficients:
 
 
 def quantize_densities(m, k, lam, mu, symbol: TensorSection):
-    """Quantize a degree-k symbol of weight mu - lambda into an operator.
+    """Quantize a symmetric degree-k symbol of weight mu - lambda into an operator.
 
     Returns the operator together with the solved coefficients; raises
-    ResonantWeight when mu - lambda is resonant for degree-k symbols.
+    ResonantWeight when mu - lambda is resonant for degree-k symbols, and
+    ValueError when two rearrangements of an index hold different polynomials.
     """
     lam = Fraction(lam)
     mu = Fraction(mu)
@@ -144,6 +164,16 @@ def quantize_densities(m, k, lam, mu, symbol: TensorSection):
         raise ValueError(f"symbol has shape ({symbol.rank}, {symbol.degree}), want ({m}, {k})")
     if symbol.twist != 0 or Fraction(symbol.weight) != mu - lam:
         raise ValueError("symbol must be twist-free with weight mu - lambda")
+    seen = set()  # the sorted indices whose rearrangements were compared
+    for index, p in symbol.coeffs.items():
+        if (key := tuple(sorted(index))) not in seen:
+            seen.add(key)
+            for other in _rearrangements(key):
+                if symbol.coeffs.get(other) != p:
+                    raise ValueError(
+                        f"symbol is not symmetric: index {index} and its rearrangement "
+                        f"{other} hold different polynomials"
+                    )
     coeffs = density_quant_coefficients(m, k, lam, mu)
     return quantization_operator(symbol, coeffs.values), coeffs
 
@@ -165,18 +195,6 @@ class EquivarianceReport(Record):
 
     __slots__ = ("translations_exact", "linear_exact", "quadratic_exact", "failures")
 
-    def __init__(
-        self,
-        translations_exact: bool,
-        linear_exact: bool,
-        quadratic_exact: bool,
-        failures: tuple[str, ...] = (),
-    ) -> None:
-        object.__setattr__(self, "translations_exact", translations_exact)
-        object.__setattr__(self, "linear_exact", linear_exact)
-        object.__setattr__(self, "quadratic_exact", quadratic_exact)
-        object.__setattr__(self, "failures", failures)
-
     @property
     def all_exact(self) -> bool:
         return self.translations_exact and self.linear_exact and self.quadratic_exact
@@ -189,7 +207,8 @@ def verify_equivariance(
 
     Residuals are computed exactly for every basis generator of sl(m+1),
     each sample symbol, and each test function; nonzero residuals are
-    reported per grading rather than raised.
+    reported per grading, each failure naming its generator's index in
+    `sl_basis(m)`, rather than raised.
     """
     lam = Fraction(lam)
     mu = Fraction(mu)
@@ -197,7 +216,7 @@ def verify_equivariance(
     failures = []
     # Q(P) does not depend on the generator
     qops = [(symbol, quantization_operator(symbol, coefficients)) for symbol in symbols]
-    for h in sl_basis(m):
+    for g, h in enumerate(sl_basis(m)):
         grading = generator_grading(h)
         field = proj_embedding(h)
         lie_in = lie_operator(field, lam)
@@ -209,7 +228,9 @@ def verify_equivariance(
                 rhs = moved.apply(f) + qop.apply(lie_in.apply(f))
                 if lhs != rhs:
                     exact[grading] = False
-                    failures.append(f"grading {grading}, symbol {si}, function {fi}")
+                    failures.append(
+                        f"generator {g} (grading {grading}), symbol {si}, function {fi}"
+                    )
     return EquivarianceReport(
         translations_exact=exact[-1],
         linear_exact=exact[0],

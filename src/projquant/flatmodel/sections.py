@@ -54,70 +54,37 @@ class PolyVectorField(Record):
         return len(self.components)
 
 
-class TensorSection:
-    """Weighted polynomial tensor field: full index tuples -> coefficients."""
+class TensorSection(Record):
+    """Weighted polynomial tensor field: full index tuples -> nonzero coefficients."""
 
     __slots__ = ("rank", "degree", "twist", "weight", "coeffs")
 
-    def __init__(
-        self,
-        rank: int,
-        degree: int,
-        twist: int,
-        weight,
-        coeffs: Mapping[Index, Poly] | None = None,
-    ):
-        self.rank = rank
-        self.degree = degree
-        self.twist = twist
-        self.weight = weight
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
+    def __init__(self, rank, degree, twist, weight, coeffs: Mapping[Index, Poly] | None = None):
+        coeffs = {k: v for k, v in (coeffs or {}).items() if v}
+        super().__init__(rank, degree, twist, weight, coeffs)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorSection):
-            return NotImplemented
-        return (
-            self.rank == other.rank
-            and self.degree == other.degree
-            and self.twist == other.twist
-            and self.weight == other.weight
-            and self.coeffs == other.coeffs
-        )
 
     def component(self, index: Index) -> Poly:
         return self.coeffs.get(tuple(index), Poly.zero(self.rank))
 
     def __add__(self, other: "TensorSection") -> "TensorSection":
-        self._check_compatible(other)
+        bundle = self._key(self)[:4]  # rank, degree, twist, weight
+        if self._key(other)[:4] != bundle:
+            raise ValueError("sections live in different bundles")
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             s = out.get(k)
             out[k] = v if s is None else s + v
-        return TensorSection(self.rank, self.degree, self.twist, self.weight, out)
+        return TensorSection(*bundle, out)
 
     def __sub__(self, other: "TensorSection") -> "TensorSection":
         return self + other.scale(-1)
 
     def scale(self, factor) -> "TensorSection":
-        return TensorSection(
-            self.rank,
-            self.degree,
-            self.twist,
-            self.weight,
-            {k: v.scale(factor) for k, v in self.coeffs.items()},
-        )
-
-    def _check_compatible(self, other: "TensorSection") -> None:
-        if (
-            self.rank != other.rank
-            or self.degree != other.degree
-            or self.twist != other.twist
-            or self.weight != other.weight
-        ):
-            raise ValueError("sections live in different bundles")
+        coeffs = {k: v.scale(factor) for k, v in self.coeffs.items()}
+        return TensorSection(*self._key(self)[:4], coeffs)
 
     def __repr__(self) -> str:
         return (

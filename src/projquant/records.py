@@ -1,11 +1,15 @@
 """Immutable value records built from plain ``__slots__`` classes.
 
-A record lists its fields in ``__slots__`` and stores them in ``__init__``
-with ``object.__setattr__``.  ``_fields`` names the fields that equality,
-hashing and the repr cover; it defaults to every slot.  The package avoids
-``dataclasses`` because importing it pulls in ``inspect`` (with ``ast``,
-``dis`` and ``tokenize``), which costs a CLI call more start-up time than
-most subcommands spend computing.
+A record lists its fields in ``__slots__``; ``_fields`` names the fields
+that construction, equality, hashing and the repr cover, and defaults to
+every slot.  The base constructor stores the fields in ``_fields`` order,
+by position or by name.  A record that validates, derives or drops
+entries writes its own constructor, which stores the fields with
+``object.__setattr__`` or hands them to the base one.  Every record is
+frozen; one holding a dict is unhashable through it.  The
+package avoids ``dataclasses`` because importing it pulls in ``inspect``
+(with ``ast``, ``dis`` and ``tokenize``), which costs a CLI call more
+start-up time than most subcommands spend computing.
 """
 
 from operator import attrgetter
@@ -29,6 +33,19 @@ class Record:
         # one C-level getter per class, not a getattr loop per call; records
         # hashed in hot loops still write __eq__/__hash__ out, which is faster
         cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *values, **named):
+        name, fields = self.__class__.__qualname__, self._fields
+        if len(values) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(values)}")
+        for field, value in zip(fields, values):
+            object.__setattr__(self, field, value)
+        for field in fields[len(values) :]:
+            if field not in named:
+                raise TypeError(f"{name} is missing field {field!r}")
+            object.__setattr__(self, field, named.pop(field))
+        if named:  # a field given twice, or no field at all
+            raise TypeError(f"{name} got repeated or unknown field {next(iter(named))!r}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -31,9 +31,6 @@ class Decomposition(Record):
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple[tuple[IrrepLabel, int], ...]) -> None:
-        object.__setattr__(self, "terms", terms)
-
     def __iter__(self):
         return iter(self.terms)
 

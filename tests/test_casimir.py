@@ -3,8 +3,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projquant import (
+    IrrepLabel,
+    YoungDiagram,
     branch_labels,
     canonicalize,
     component,
@@ -17,6 +21,7 @@ from projquant import (
     resonances_for_symbols,
     symbol_rep,
 )
+from projquant.casimir import gap_roots
 from support import eigenvalue_by_double_sum, random_canonical_label, resonances_generic
 
 
@@ -184,3 +189,42 @@ def test_resonances_for_symbols_is_the_union_over_each_symbol_space():
 def test_resonances_for_symbols_rank_mismatch():
     with pytest.raises(ValueError):
         resonances_for_symbols(canonicalize((), 2), canonicalize((), 3), 1)
+
+
+@st.composite
+def content_labels(draw):
+    """Canonical labels up to rank 60, depth 8 and rows of 12 boxes."""
+    m = draw(st.integers(2, 60))
+    depth = draw(st.integers(0, min(8, m - 1)))
+    rows = sorted(draw(st.lists(st.integers(1, 12), min_size=depth, max_size=depth)))
+    return IrrepLabel(YoungDiagram(rows[::-1]), m, draw(st.integers(-4, 4)))
+
+
+def content(boxes):
+    """Sum of column - row over (row, column) boxes, both counted from 0."""
+    return sum(col - row for row, col in boxes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(content_labels())
+def test_eigenvalue_and_gap_roots_equal_the_content_forms(label):
+    # the flat Casimir on a Young section of shape D is
+    # (m/2) t(t-1) + k(1-t) + k(k-1)/2(m+1) + c(D)/(m+1) with t = delta - n, k = |D|:
+    # the swap sum over slot pairs is the sum of the Jucys-Murphy elements,
+    # which acts on the Young-symmetrizer image of D by its content c(D)
+    m, n, rows, k = label.rank, label.twist, label.diagram.rows, label.size
+    c = content((i, j) for i, r in enumerate(rows) for j in range(r))
+    alpha = eigenvalue(label)
+    for delta in (Fraction(0), Fraction(1), Fraction(-7, 3)):
+        t = delta - n
+        tail = Fraction(k * (k - 1) + 2 * c, 2 * (m + 1))
+        assert alpha(delta) == Fraction(m, 2) * t * (t - 1) + k * (1 - t) + tail
+    # removing q_i boxes from the end of row i leaves the gap |q| (r_q - delta)
+    roots = []
+    for q in branch_labels(extend_rank(label))[1:]:
+        size = q.norm
+        ends = zip(rows, q.removals)
+        removed = content((i, j) for i, (r, qi) in enumerate(ends) for j in range(r - qi, r))
+        num = size * (2 * (m + 1) * (n + 1) + 2 * k - size - 1) + 2 * removed
+        roots.append(Fraction(num, 2 * (m + 1) * size))
+    assert gap_roots(label) == roots

@@ -109,6 +109,31 @@ def test_quantize_past_the_polynomial_degree_bound_is_domain_error(capsys):
         assert "exceeds total degree 255" in payload["message"]
 
 
+def test_quantize_past_the_size_budget_is_domain_error(capsys):
+    # without the budget, k = 400 at m = 2 took 3.9 s and (m, k) = (1000, 1) 12 s
+    for m, k, size in (("2", "400", 2424), ("1000", "1", 5020), ("60", "22", 1664)):
+        start = time.perf_counter()
+        code, payload = run_json(
+            capsys, "quantize", "--m", m, "-k", k, "--lambda", "0", "--mu", "0"
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == 1
+        assert payload == {
+            "error": "domain error",
+            "message": f"order k = {k} at rank m = {m} has (m+4)(k+4) = {size}, "
+            "over the budget of 1600",
+        }
+    # a resonant weight past the budget keeps its diagnostic
+    code, payload = run_json(
+        capsys, "quantize", "--m", "2", "-k", "400", "--lambda", "0", "--mu", "267"
+    )
+    assert code == 1 and payload["error"] == "resonant weight"
+    assert payload["message"] == (
+        "quantization system inconsistent at delta = 267: "
+        "factor j = 1, (m+2k-j)/(m+1) = 267 vanishes"
+    )
+
+
 def test_quantize_resonant_diagnostic(capsys):
     code, payload = run_json(
         capsys, "quantize", "--m", "2", "-k", "1", "--lambda", "0", "--mu", "1"

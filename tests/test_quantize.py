@@ -102,6 +102,47 @@ def test_quantize_validates_symbol():
         quantize_densities(m, k, lam, mu, wrong_degree)
 
 
+def _asymmetric_case():
+    # m = 2, k = 2 and the symbol x0^2 + x1 stored at (0, 1) alone
+    m, k, lam = 2, 2, Fraction(1, 3)
+    mu = lam + Fraction(5, 11)
+    x0, x1 = Poly.variable(m, 0), Poly.variable(m, 1)
+    return m, k, lam, mu, x0 * x0 + x1, x0 * x0 * x1
+
+
+def test_quantize_refuses_a_symbol_that_is_not_symmetric():
+    m, k, lam, mu, p, f = _asymmetric_case()
+    half = p.scale(Fraction(1, 2))
+    symmetric = TensorSection(m, k, 0, mu - lam, {(0, 1): half, (1, 0): half, (1, 1): p})
+    _, coeffs = quantize_densities(m, k, lam, mu, symmetric)
+    assert verify_equivariance(m, k, lam, mu, coeffs.values, [symmetric], [f]).all_exact
+    for coeffs_, message in [
+        ({(0, 1): p}, "index (0, 1) and its rearrangement (1, 0)"),
+        ({(1, 0): p, (0, 1): p.scale(2)}, "index (1, 0) and its rearrangement (0, 1)"),
+        ({(1, 1): p, (0, 1): half, (1, 0): p}, "index (0, 1) and its rearrangement (1, 0)"),
+    ]:
+        symbol = TensorSection(m, k, 0, mu - lam, coeffs_)
+        with pytest.raises(ValueError) as exc:
+            quantize_densities(m, k, lam, mu, symbol)
+        assert str(exc.value) == f"symbol is not symmetric: {message} hold different polynomials"
+    # a random symmetric section at m = 3, k = 4 passes the check
+    symbol = random_section(3, (4,), 0, mu - lam, 1, random.Random(4))
+    assert quantize_densities(3, 4, lam, mu, symbol)[0].order == 4
+
+
+def test_equivariance_failures_name_their_generator():
+    # the two quadratic generators of sl(3) fail on the same symbol and function
+    m, k, lam, mu, p, f = _asymmetric_case()
+    coeffs = density_quant_coefficients(m, k, lam, mu)
+    symbol = TensorSection(m, k, 0, mu - lam, {(0, 1): p})
+    report = verify_equivariance(m, k, lam, mu, coeffs.values, [symbol], [f])
+    assert report.translations_exact and report.linear_exact and not report.quadratic_exact
+    assert report.failures == (
+        "generator 4 (grading 1), symbol 0, function 0",
+        "generator 5 (grading 1), symbol 0, function 0",
+    )
+
+
 def test_quant_coefficients_normalization():
     with pytest.raises(ValueError):
         QuantCoefficients((Fraction(2),))

@@ -13,7 +13,9 @@ from projquant.flatmodel import (
     Poly,
     PolyVectorField,
     QuantCoefficients,
+    TensorSection,
 )
+from projquant.records import Record
 
 X = Poly.variable(2, 0)
 
@@ -26,6 +28,7 @@ def _node(coefficient=Fraction(-2, 3)):
     return LiftNode(BranchLabel((0, 1)), _label(), coefficient)
 
 
+_FAILURE = "generator 4 (grading 1), symbol 0, function 0"
 _LABEL_REPR = "IrrepLabel(diagram=YoungDiagram(rows=(2, 1)), rank=4, twist=1, weight=Fraction(1, 2))"
 _NODE_REPR = (
     f"LiftNode(removals=BranchLabel(removals=(0, 1)), component={_LABEL_REPR}, "
@@ -69,11 +72,11 @@ RECORDS = {
         "QuantCoefficients(values=(Fraction(1, 1), Fraction(1, 2)))",
     ),
     "EquivarianceReport": (
-        lambda v: EquivarianceReport(True, v, True, ("grading 1, symbol 0, function 0",)),
+        lambda v: EquivarianceReport(True, v, True, (_FAILURE,)),
         False,
         True,
         "EquivarianceReport(translations_exact=True, linear_exact=False, quadratic_exact=True, "
-        "failures=('grading 1, symbol 0, function 0',))",
+        f"failures=({_FAILURE!r},))",
     ),
     "PolyVectorField": (
         lambda v: PolyVectorField((X * X, Poly.constant(2, v))),
@@ -87,6 +90,19 @@ RECORDS = {
         3,
         "DiffOperator(rank=2, coeffs={(1, 0): Poly(1*x0)})",
     ),
+    "TensorSection": (
+        lambda v: TensorSection(2, 1, 0, v, {(0,): X, (1,): Poly.zero(2)}),
+        Fraction(1, 3),
+        Fraction(1, 5),
+        "TensorSection(rank=2, degree=1, twist=0, weight=1/3, 1 coeffs)",
+    ),
+}  # fmt: skip
+
+# records whose constructors validate, derive or drop zero entries; every
+# other record is built by the base constructor
+OWN_CONSTRUCTORS = {
+    BranchLabel, DiffOperator, IrrepLabel, PolyVectorField, QuantCoefficients, TensorSection,
+    YoungDiagram,
 }  # fmt: skip
 
 
@@ -95,7 +111,8 @@ def test_record_equality_hash_repr_and_immutability(name):
     build, value, other_value, expected_repr = RECORDS[name]
     record, twin, other = build(value), build(value), build(other_value)
     cls = type(record)
-    assert cls.__name__ == name and not hasattr(record, "__dict__")
+    assert cls.__name__ == name and isinstance(record, Record)
+    assert not hasattr(record, "__dict__")
     assert record == twin and not record != twin
     assert record != other and not record == other
     assert repr(record) == expected_repr
@@ -111,16 +128,13 @@ def test_record_equality_hash_repr_and_immutability(name):
     for clone in clones:
         assert type(clone) is cls and clone == record
 
-    if cls is DiffOperator:
-        # the one mutable record: unhashable, and its fields may be reassigned
+    if isinstance(record.__reduce__()[1][-1], dict):
+        # a record holding a dict is unhashable through it
         with pytest.raises(TypeError):
             hash(record)
-        record.rank = other_value
-        assert record == other
-        return
-
-    assert hash(record) == hash(twin)
-    assert len({record, twin, other}) == 2
+    else:
+        assert hash(record) == hash(twin)
+        assert len({record, twin, other}) == 2
     for field in cls.__slots__:
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(other, field))
@@ -138,3 +152,40 @@ def test_poly_vector_field_compares_only_its_components():
     object.__setattr__(twin, "div", Poly.constant(2, 7))
     assert field == twin and hash(field) == hash(twin) and repr(field) == repr(twin)
     assert field.div == Poly.variable(2, 0).scale(2)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_construction_by_position_and_by_name(name):
+    build, value, _, _ = RECORDS[name]
+    record = build(value)
+    cls = type(record)
+    assert ("__init__" in cls.__dict__) == (cls in OWN_CONSTRUCTORS)
+    args = record.__reduce__()[1]
+    first, *rest = cls._fields
+    named = dict(zip(cls._fields, args))
+    assert cls(*args) == record and cls(**named) == record
+    assert cls(args[0], **{field: named[field] for field in rest}) == record
+    if cls not in (YoungDiagram, BranchLabel):  # their one field defaults to empty
+        with pytest.raises(TypeError):
+            cls(**{field: named[field] for field in rest})
+    with pytest.raises(TypeError):
+        cls(*args, args[-1])
+    with pytest.raises(TypeError):
+        cls(*args, **{first: args[0]})
+    with pytest.raises(TypeError):
+        cls(*args, no_such_field=1)
+
+
+def test_base_constructor_names_the_field_at_fault():
+    half = Fraction(1, 2)
+    assert EigenvaluePoly(half, c2=3, c1=2) == EigenvaluePoly(half, 2, 3)
+    for args, named, message in [
+        ((half, 2), {}, "EigenvaluePoly is missing field 'c2'"),
+        ((half, 2, 3, 4), {}, "EigenvaluePoly takes 3 fields, got 4"),
+        ((half, 2, 3), {"c1": 2}, "EigenvaluePoly got repeated or unknown field 'c1'"),
+        ((half, 2, 3), {"c3": 4}, "EigenvaluePoly got repeated or unknown field 'c3'"),
+        ((half,), {"c0": 1, "c1": 2, "c2": 3}, "EigenvaluePoly got repeated or unknown field 'c0'"),
+    ]:
+        with pytest.raises(TypeError) as info:
+            EigenvaluePoly(*args, **named)
+        assert str(info.value) == message
