@@ -51,25 +51,16 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _rational(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _argument(parse):
+    """argparse type of a text parser whose ValueError is the usage error."""
 
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
 
-def _diagram(text: str) -> YoungDiagram:
-    try:
-        return YoungDiagram.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _label(text: str) -> IrrepLabel:
-    try:
-        return IrrepLabel.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
 
 
 def _int_at_least(low: int):
@@ -163,10 +154,18 @@ def _cmd_decompose(args) -> tuple[list, int]:
     return rows, 0
 
 
-def _cmd_quantize(args) -> tuple[list, int]:
-    from .flatmodel.quantize import density_quant_coefficients
+def _cmd_quantize(args) -> tuple[object, int]:
+    from .flatmodel.quantize import density_quant_coefficients, solver_singular_deltas
 
-    coeffs = density_quant_coefficients(args.m, args.k, args.lam, args.mu)
+    try:
+        coeffs = density_quant_coefficients(args.m, args.k, args.lam, args.mu)
+    except ResonantWeight as exc:
+        payload = _resonance_diagnostic(exc)
+        singular = solver_singular_deltas(args.m, args.k)
+        payload["singular_deltas"] = [_fmt(v, "singular delta") for v in singular]
+        if exc.delta is not None and exc.delta in singular:
+            payload["offending_denominator"] = f"delta - ({_fmt(exc.delta, 'delta')})"
+        return payload, 1
     return [_fmt(c, "coefficient") for c in coeffs.values], 0
 
 
@@ -255,13 +254,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default json; PROJQUANT_FORMAT overrides the default)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    rational = _argument(parse_rational)
+    diagram = _argument(YoungDiagram.parse)
+    label = _argument(IrrepLabel.parse)
 
     def add_label_flags(p, with_delta=True):
         p.add_argument("--m", type=int, required=True, help="rank of the group")
-        p.add_argument("--diagram", type=_diagram, required=True, help='rows, e.g. "3,2,2"')
+        p.add_argument("--diagram", type=diagram, required=True, help='rows, e.g. "3,2,2"')
         p.add_argument("--n", type=int, default=0, help="determinant twist")
         if with_delta:
-            p.add_argument("--delta", type=_rational, default=Fraction(0), help="weight")
+            p.add_argument("--delta", type=rational, default=Fraction(0), help="weight")
 
     p = sub.add_parser("eigenvalue", help="Casimir eigenvalue polynomial and value")
     add_label_flags(p)
@@ -269,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resonances", help="resonant weights of a label")
     add_label_flags(p, with_delta=False)
-    p.add_argument("--base", type=_rational, default=Fraction(0), help="base weight shift")
+    p.add_argument("--base", type=rational, default=Fraction(0), help="base weight shift")
     p.set_defaults(handler=_cmd_resonances)
 
     p = sub.add_parser("branch", help="restriction of a rank-m label to rank m-1")
@@ -277,16 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_branch)
 
     p = sub.add_parser("decompose", help="decompose v1* (x) v2 (x) S^k")
-    p.add_argument("--v1", type=_label, required=True, help='label text "D=..; m=..; n=..; delta=.."')
-    p.add_argument("--v2", type=_label, required=True, help="label text")
+    p.add_argument("--v1", type=label, required=True, help='label text "D=..; m=..; n=..; delta=.."')
+    p.add_argument("--v2", type=label, required=True, help="label text")
     p.add_argument("-k", type=int, required=True, help="symmetric power")
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("quantize", help="divergence-ansatz quantization constants")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("-k", type=int, required=True, help="symbol order")
-    p.add_argument("--lambda", dest="lam", type=_rational, required=True)
-    p.add_argument("--mu", type=_rational, required=True)
+    p.add_argument("--lambda", dest="lam", type=rational, required=True)
+    p.add_argument("--mu", type=rational, required=True)
     p.set_defaults(handler=_cmd_quantize)
 
     p = sub.add_parser("casimir-check", help="verify the eigenvalue on random sections")
@@ -357,19 +359,10 @@ def _emit(payload, fmt: str) -> None:
         sys.stdout.write("\n".join(_render_table(payload)) + "\n")
 
 
-def _resonance_diagnostic(exc: ResonantWeight, args) -> dict:
+def _resonance_diagnostic(exc: ResonantWeight) -> dict:
     payload = {"error": "resonant weight", "message": str(exc)}
     if exc.delta is not None:
         payload["delta"] = _fmt(exc.delta, "delta")
-    m = getattr(args, "m", None)
-    k = getattr(args, "k", None)
-    if m is not None and k is not None:
-        from .flatmodel.quantize import solver_singular_deltas
-
-        singular = solver_singular_deltas(m, k)
-        payload["singular_deltas"] = [_fmt(v, "singular delta") for v in singular]
-        if exc.delta is not None and exc.delta in singular:
-            payload["offending_denominator"] = f"delta - ({_fmt(exc.delta, 'delta')})"
     return payload
 
 
@@ -397,7 +390,7 @@ def _run(args) -> tuple[object, int]:
     try:
         return args.handler(args)
     except ResonantWeight as exc:
-        return _resonance_diagnostic(exc, args), 1
+        return _resonance_diagnostic(exc), 1
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         return {"error": "domain error", "message": str(exc)}, 1
 

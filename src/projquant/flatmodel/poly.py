@@ -14,9 +14,11 @@ the number of variables, the exponent of variable i occupies bits
 [i*w, (i+1)*w) and the total degree occupies the field above the last
 exponent.  Keys therefore order monomials by total degree first, the
 product of two monomials is the sum of their keys, and differentiating in
-x_i subtracts one precomputed key.  The largest key of a polynomial carries
-its total degree, so one check per product, on the two largest keys,
-raises OverflowError before any exponent could carry into its neighbour.
+x_i subtracts one key, computed on first use.  The largest key of a
+polynomial carries its total degree, so one check per product, on the two
+largest keys, raises OverflowError before any exponent could carry into its
+neighbour.  A key has about 8 bits per variable, so a layout keeps no
+per-variable key until it is needed, and packing skips zero exponents.
 
 `coeffs` is a view rebuilt on every access: {exponent tuple: int or
 Fraction}.  Code that reads it in a loop should read it once.
@@ -49,10 +51,9 @@ class _Layout:
         self.shifts = tuple(i * width for i in range(nvars))
         self.degree_shift = nvars * width
         self.limit = 1 << (self.degree_shift + width)  # keys of degree 2**w and up
-        # (shift, key of x_i, mask) per variable: what diff needs
-        self.steps = tuple(
-            (s, (1 << s) + (1 << self.degree_shift), self.mask) for s in self.shifts
-        )
+        # (shift, key of x_i, mask) per variable: what diff needs, filled on
+        # first use, since each key has as many bits as the layout's keys
+        self.steps = [None] * nvars
         self.zero = _poly(self, {}, 1)
 
     def pack(self, exps: Iterable[int]) -> int:
@@ -67,8 +68,14 @@ class _Layout:
                 f"monomial {exps} exceeds total degree {self.mask} for {self.nvars} variables"
             )
         for e, s in zip(exps, self.shifts):
-            key += e << s
+            if e:  # each addition copies the whole key
+                key += e << s
         return key
+
+    def step(self, index: int) -> tuple[int, int, int]:
+        s = self.shifts[index]
+        step = self.steps[index] = (s, (1 << s) + (1 << self.degree_shift), self.mask)
+        return step
 
     def unpack(self, key: int) -> Monomial:
         mask = self.mask
@@ -282,13 +289,14 @@ class Poly:
         return _scaled(self._layout, factor.numerator, self, factor.denominator)
 
     def diff(self, index: int) -> "Poly":
-        shift, unit, mask = self._layout.steps[index]
+        layout = self._layout
+        shift, unit, mask = layout.steps[index] or layout.step(index)
         out = {
             k - unit: v * e
             for k, v in self._terms.items()
             if (e := (k >> shift) & mask)
         }
-        return _poly(self._layout, out, self._den)
+        return _poly(layout, out, self._den)
 
     def total_degree(self) -> int:
         """Largest monomial degree; -1 for the zero polynomial."""

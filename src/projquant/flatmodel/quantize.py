@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from ..errors import ResonantWeight
 from ..records import Record
-from .algebra import proj_embedding, sl_basis
+from .algebra import _matrix, proj_embedding, sl_basis
 from .operators import (
     DiffOperator, compose, contraction_operator, lie_operator, operator_combination
 )
@@ -44,27 +44,11 @@ class QuantCoefficients(Record):
             raise ValueError("quantization coefficients must start with c_0 = 1")
         object.__setattr__(self, "values", tuple(Fraction(v) for v in values))
 
-    @property
-    def order(self) -> int:
-        return len(self.values) - 1
-
 
 @lru_cache(maxsize=None)
 def quadratic_generator(m: int) -> PolyVectorField:
     """The quadratic field generated by the lower-left matrix unit in direction 0."""
-    h = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]
-    h[m][0] = Fraction(1)
-    return proj_embedding(h)
-
-
-def generator_grading(h) -> int:
-    """-1, 0, or 1 according to the block of sl(m+1) a basis matrix lives in."""
-    m = len(h) - 1
-    if any(h[m][j] for j in range(m)):
-        return 1
-    if any(h[i][m] for i in range(m)):
-        return -1
-    return 0
+    return proj_embedding(_matrix(m + 1, {(m, 0): 1}))
 
 
 def divergence_tower(symbol: TensorSection) -> list[TensorSection]:
@@ -160,10 +144,7 @@ def quantize_densities(m, k, lam, mu, symbol: TensorSection):
     """
     lam = Fraction(lam)
     mu = Fraction(mu)
-    if symbol.rank != m or symbol.degree != k:
-        raise ValueError(f"symbol has shape ({symbol.rank}, {symbol.degree}), want ({m}, {k})")
-    if symbol.twist != 0 or Fraction(symbol.weight) != mu - lam:
-        raise ValueError("symbol must be twist-free with weight mu - lambda")
+    _check_symbol(m, k, mu - lam, symbol)
     seen = set()  # the sorted indices whose rearrangements were compared
     for index, p in symbol.coeffs.items():
         if (key := tuple(sorted(index))) not in seen:
@@ -176,6 +157,14 @@ def quantize_densities(m, k, lam, mu, symbol: TensorSection):
                     )
     coeffs = density_quant_coefficients(m, k, lam, mu)
     return quantization_operator(symbol, coeffs.values), coeffs
+
+
+def _check_symbol(m: int, k: int, delta: Fraction, symbol: TensorSection) -> None:
+    """ValueError unless the symbol has rank m, degree k, no twist and weight delta."""
+    if symbol.rank != m or symbol.degree != k:
+        raise ValueError(f"symbol has shape ({symbol.rank}, {symbol.degree}), want ({m}, {k})")
+    if symbol.twist != 0 or Fraction(symbol.weight) != delta:
+        raise ValueError("symbol must be twist-free with weight mu - lambda")
 
 
 def solver_singular_deltas(m: int, k: int, lam=Fraction(1, 2)) -> tuple[Fraction, ...]:
@@ -208,17 +197,24 @@ def verify_equivariance(
     Residuals are computed exactly for every basis generator of sl(m+1),
     each sample symbol, and each test function; nonzero residuals are
     reported per grading, each failure naming its generator's index in
-    `sl_basis(m)`, rather than raised.
+    `sl_basis(m)`, rather than raised.  Constants c_0..c_k of another
+    order, or a symbol that `quantize_densities` would refuse for its rank,
+    degree, twist or weight, raise ValueError; its symmetry is not checked.
     """
     lam = Fraction(lam)
     mu = Fraction(mu)
+    if len(coefficients) != k + 1:
+        raise ValueError(f"{len(coefficients)} constants for order k = {k}, want {k + 1}")
+    for symbol in symbols:
+        _check_symbol(m, k, mu - lam, symbol)
     exact = {-1: True, 0: True, 1: True}
     failures = []
     # Q(P) does not depend on the generator
     qops = [(symbol, quantization_operator(symbol, coefficients)) for symbol in symbols]
     for g, h in enumerate(sl_basis(m)):
-        grading = generator_grading(h)
         field = proj_embedding(h)
+        # constant, linear, quadratic: the field's degree is the grading plus one
+        grading = max(p.total_degree() for p in field.components) - 1
         lie_in = lie_operator(field, lam)
         lie_out = lie_operator(field, mu)
         for si, (symbol, qop) in enumerate(qops):

@@ -42,12 +42,9 @@ class PolyVectorField(Record):
     def __init__(self, components: tuple[Poly, ...]) -> None:
         m = len(components)
         jac = tuple(tuple(components[i].diff(j) for j in range(m)) for i in range(m))
-        div = Poly.zero(m)
-        for j in range(m):
-            div = div + jac[j][j]
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "jacobian", jac)
-        object.__setattr__(self, "div", div)
+        object.__setattr__(self, "div", poly_sum(m, (jac[j][j] for j in range(m))))
 
     @property
     def rank(self) -> int:
@@ -138,14 +135,34 @@ def _rearrangements(segment: Index) -> list[Index]:
 
 
 def _exponents(rank: int, max_degree: int) -> tuple[Index, ...]:
-    """Exponent tuples of total degree <= max_degree, in lexicographic order."""
+    """Exponent tuples of total degree <= max_degree, in lexicographic order.
+
+    The successor of a tuple raises its last exponent while the degree
+    allows; at full degree it moves the last nonzero exponent's unit one
+    place left and zeroes that place, and (max_degree, 0, ..., 0) is last.
+    """
+    if max_degree < 0:
+        return ()
     if rank == 0:
-        return ((),) if max_degree >= 0 else ()
-    return tuple(
-        (e,) + rest
-        for e in range(max_degree + 1)
-        for rest in _exponents(rank - 1, max_degree - e)
-    )
+        return ((),)
+    exps = [0] * rank
+    out = []
+    total = 0
+    while True:
+        out.append(tuple(exps))
+        if total < max_degree:
+            exps[-1] += 1
+            total += 1
+            continue
+        j = rank - 1
+        while j and not exps[j]:
+            j -= 1
+        if not j:
+            break
+        total -= exps[j] - 1
+        exps[j - 1] += 1
+        exps[j] = 0
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

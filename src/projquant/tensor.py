@@ -31,9 +31,6 @@ class Decomposition(Record):
 
     __slots__ = ("terms",)
 
-    def __iter__(self):
-        return iter(self.terms)
-
     def multiplicity(self, label: IrrepLabel) -> int:
         for term, mult in self.terms:
             if term == label:

@@ -172,6 +172,49 @@ def test_casimir_check_stays_fast_at_a_large_rank(capsys):
     assert payload["matches"] is True
 
 
+def test_casimir_check_answers_past_the_recursion_limit_in_rank(capsys):
+    # 600 index tuples, each drawn one constant over 600 exponents
+    assert sys.getrecursionlimit() < 2 * 600
+    code, payload = run_json(
+        capsys,
+        "casimir-check", "--m", "600", "--diagram", "1", "--max-degree", "0", "--trials", "1",
+    )  # fmt: skip
+    assert code == 0
+    assert payload["matches"] is True
+
+
+def test_calls_at_a_million_variables_fit_in_one_gibibyte():
+    # a polynomial layout is O(m) memory: a million variables once took a
+    # MemoryError or an out-of-memory kill; the cap makes that fail fast
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from projquant.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(projquant.__file__).parents[1]))
+    calls = [
+        ["quantize", "--m", "1000000", "-k", "1", "--lambda", "0", "--mu", "0"],
+        ["casimir-check", "--m", "1000000", "--diagram", "0", "--max-degree", "0",
+         "--trials", "1"],
+    ]  # fmt: skip
+    quantize, casimir = (
+        subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )  # fmt: skip
+        for argv in calls
+    )
+    assert quantize.returncode == 1 and quantize.stderr == ""
+    assert json.loads(quantize.stdout) == {
+        "error": "domain error",
+        "message": "order k = 1 at rank m = 1000000 has (m+4)(k+4) = 5000020, "
+        "over the budget of 1600",
+    }
+    assert casimir.returncode == 0 and casimir.stderr == ""
+    assert json.loads(casimir.stdout)["matches"] is True
+
+
 def test_casimir_check_stays_fast_on_a_long_row(capsys):
     # 2^16 index tuples in 17 complete orbits, each scaled once instead of
     # swapped over 120 slot pairs per tuple

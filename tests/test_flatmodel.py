@@ -41,6 +41,7 @@ from projquant.flatmodel import (
 )
 from projquant.flatmodel.algebra import matrix_trace
 from projquant.flatmodel.operators import operator_combination
+from projquant.flatmodel.sections import _exponents
 import support
 from support import (
     all_canonical_diagrams,
@@ -395,6 +396,16 @@ def test_random_polynomial_draws_as_the_filtered_product():
                 new, old = random.Random(seed), random.Random(seed)
                 assert random_polynomial(m, d, new) == filtered_product(m, d, old)
                 assert new.random() == old.random()
+
+
+def test_exponents_enumerate_in_the_filtered_product_order():
+    # the order fixes which rng draw goes to which monomial
+    for rank in range(6):
+        for d in range(-1, 5):
+            want = tuple(e for e in product(range(d + 1), repeat=rank) if sum(e) <= d)
+            assert _exponents(rank, d) == want
+    # one loop, not one frame per variable
+    assert _exponents(5000, 1)[-1] == (1,) + (0,) * 4999
 
 
 def test_random_polynomial_over_the_monomial_budget_raises_before_listing():

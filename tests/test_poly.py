@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -208,3 +209,19 @@ def test_product_past_the_packed_field_raises(nvars):
                 high * x
     with pytest.raises(OverflowError):
         Poly.monomial(nvars, (top + 1,) + rest)
+
+
+def test_derivatives_at_twenty_thousand_variables():
+    # each variable's key for diff has 160,000 bits here, so it is made only
+    # for the variables differentiated: all of them would take 400 MB
+    n = 20000
+    tracemalloc.start()
+    try:
+        x = Poly.variable(n, n - 1)
+        assert (x * x).diff(n - 1) == x.scale(2)
+        assert not x.diff(0)
+        assert Poly.monomial(n, (0,) * (n - 1) + (3,)).total_degree() == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak

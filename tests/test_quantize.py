@@ -16,6 +16,7 @@ from projquant.flatmodel import (
     quantize_densities,
     random_polynomial,
     random_section,
+    sl_basis,
     solver_singular_deltas,
     verify_equivariance,
 )
@@ -140,6 +141,58 @@ def test_equivariance_failures_name_their_generator():
     assert report.failures == (
         "generator 4 (grading 1), symbol 0, function 0",
         "generator 5 (grading 1), symbol 0, function 0",
+    )
+
+
+def test_equivariance_refuses_constants_or_symbols_of_another_order():
+    # each case once passed, reported failures, or raised IndexError
+    m, lam, delta = 2, Fraction(1, 3), Fraction(5, 11)
+    mu = lam + delta
+    rng = random.Random(3)
+    one, two = (random_section(m, (k,), 0, delta, 2, rng) for k in (1, 2))
+    f = random_polynomial(m, 3, rng)
+    order = {k: density_quant_coefficients(m, k, lam, mu).values for k in (1, 2)}
+    for k, coeffs, symbol, message in [
+        (1, order[2], one, "3 constants for order k = 1, want 2"),
+        (2, order[1], two, "2 constants for order k = 2, want 3"),
+        (5, order[1], one, "2 constants for order k = 5, want 6"),
+        (1, order[1], two, "symbol has shape (2, 2), want (2, 1)"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            verify_equivariance(m, k, lam, mu, coeffs, [symbol], [f])
+        assert str(exc.value) == message
+    # a symbol quantize_densities refuses for its rank, twist or weight, with its message
+    for wrong in [
+        TensorSection(3, 1, 0, delta, {(0,): Poly.constant(3, 1)}),
+        TensorSection(m, 1, 1, delta, one.coeffs),
+        TensorSection(m, 1, 0, delta + 1, one.coeffs),
+    ]:
+        with pytest.raises(ValueError) as refused:
+            quantize_densities(m, 1, lam, mu, wrong)
+        with pytest.raises(ValueError) as exc:
+            verify_equivariance(m, 1, lam, mu, order[1], [one, wrong], [f])
+        assert str(exc.value) == str(refused.value)
+    assert verify_equivariance(m, 1, lam, mu, order[1], [one], [f]).all_exact
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_failures_report_the_block_grading_of_their_generator(m, monkeypatch):
+    # the last row left of the corner is the quadratic block (grading 1), the
+    # last column above it the constant block (-1), the rest linear (0); with
+    # the symbol's Lie derivative replaced by the symbol, each generator fails
+    def rule(h):
+        if any(h[m][j] for j in range(m)):
+            return 1
+        return -1 if any(h[i][m] for i in range(m)) else 0
+
+    monkeypatch.setattr(quantize, "lie_derivative", lambda field, symbol: symbol)
+    lam, mu = Fraction(1, 3), Fraction(1, 3)
+    symbol = TensorSection(m, 0, 0, 0, {(): Poly.constant(m, 1)})
+    f = Poly.monomial(m, (2,) + (1,) * (m - 1))
+    report = verify_equivariance(m, 0, lam, mu, (1,), [symbol], [f])
+    assert report.failures == tuple(
+        f"generator {g} (grading {rule(h)}), symbol 0, function 0"
+        for g, h in enumerate(sl_basis(m))
     )
 
 
