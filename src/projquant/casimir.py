@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .diagrams import IrrepLabel, dual
+from .diagrams import IrrepLabel
 from .records import Record
 
 
@@ -99,21 +99,16 @@ def is_resonant(label: IrrepLabel, delta: Fraction) -> bool:
 def resonances_for_symbols(
     v1: IrrepLabel, v2: IrrepLabel, kmax: int
 ) -> frozenset[Fraction]:
-    """Union of resonance sets over all components of v1* (x) v2 (x) S^k, k <= kmax.
+    """Union of resonance sets over the terms of `symbol_rep(v1, v2, k)`, k <= kmax.
 
     A weight is resonant for a direct sum when it is resonant for at least
     one irreducible component, so the union is the right aggregate.
     """
-    from .tensor import littlewood_richardson, pieri
+    from .tensor import symbol_rep
 
     if v1.rank != v2.rank:
         raise ValueError(f"rank mismatch: {v1.rank} vs {v2.rank}")
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
-    # v1* (x) v2 is the same for every k: take it once and add S^k to each term
-    pairs = [pair for pair, _ in littlewood_richardson(dual(v1), v2).terms]
-    terms = {term for k in range(kmax + 1) for pair in pairs for term, _ in pieri(pair, k).terms}
-    values: set[Fraction] = set()
-    for term in terms:
-        values |= resonances(term)
-    return frozenset(values)
+    terms = (term for k in range(kmax + 1) for term, _ in symbol_rep(v1, v2, k).terms)
+    return frozenset().union(*map(resonances, terms))

@@ -163,8 +163,7 @@ def _cmd_quantize(args) -> tuple[object, int]:
         payload = _resonance_diagnostic(exc)
         singular = solver_singular_deltas(args.m, args.k)
         payload["singular_deltas"] = [_fmt(v, "singular delta") for v in singular]
-        if exc.delta is not None and exc.delta in singular:
-            payload["offending_denominator"] = f"delta - ({_fmt(exc.delta, 'delta')})"
+        payload["offending_denominator"] = f"delta - ({_fmt(exc.delta, 'delta')})"
         return payload, 1
     return [_fmt(c, "coefficient") for c in coeffs.values], 0
 
@@ -172,13 +171,17 @@ def _cmd_quantize(args) -> tuple[object, int]:
 # index tuples a casimir-check section may store: (3,3) at m = 6 has 46,656
 # and takes about 2.5 s, (3,3,2) at m = 5 has 390,625 and takes about 12 s
 _SECTION_BUDGET = 10**5
+# index tuples times monomials per polynomial: (3,3) at m = 6 with degree 3
+# draws up to 3,919,104 coefficients; (1) at m = 1000 with degree 1 draws
+# 1,001,000 and took 3.9 s in process on a 2-vCPU x86_64 machine
+_DRAW_BUDGET = 10**7
 
 
 def _cmd_casimir_check(args) -> tuple[dict, int]:
     import random
 
     from .flatmodel.algebra import classical_casimir
-    from .flatmodel.sections import random_section
+    from .flatmodel.sections import _MONOMIAL_BUDGET, random_section
 
     label = canonicalize(args.diagram.rows, args.m, args.n, args.delta)
     m, boxes = label.rank, label.diagram.size
@@ -186,6 +189,20 @@ def _cmd_casimir_check(args) -> tuple[dict, int]:
         raise ValueError(
             f"a section of diagram {label.diagram} at m = {m} stores up to "
             f"{m}^{boxes} = {count} index tuples, over the budget of {_SECTION_BUDGET}"
+        )
+    # C(m + d, d) monomials per polynomial, built up only until it passes the
+    # monomial budget: random_polynomial refuses those with its own message
+    low, high = sorted((m, args.max_degree))
+    monomials = 1
+    for i in range(1, low + 1):
+        monomials = monomials * (high + i) // i
+        if monomials > _MONOMIAL_BUDGET:
+            break
+    if monomials <= _MONOMIAL_BUDGET and (draws := count * monomials) > _DRAW_BUDGET:
+        raise ValueError(
+            f"a section of diagram {label.diagram} at m = {m} draws up to {count} x "
+            f"{monomials} = {draws} coefficients of degree <= {args.max_degree}, "
+            f"over the budget of {_DRAW_BUDGET}"
         )
     alpha = eigenvalue(label)(label.weight)
     rng = random.Random(args.seed)

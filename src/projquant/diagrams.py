@@ -78,10 +78,6 @@ class YoungDiagram(Record):
     def depth(self) -> int:
         return len(self.rows)
 
-    @property
-    def first_row(self) -> int:
-        return self.rows[0] if self.rows else 0
-
     def padded(self, length: int) -> Rows:
         if length < self.depth:
             raise ValueError(f"cannot pad depth-{self.depth} diagram to length {length}")

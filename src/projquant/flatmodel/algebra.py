@@ -1,13 +1,12 @@
 """The projective embedding of sl(m+1) and its Casimir operator on flat space.
 
-Traceless (m+1)x(m+1) matrices act on affine space through the projective
-action on lines; in block form h = [[A, u], [xi, a]] with a = -tr A the
-generated field is
+A traceless (m+1)x(m+1) matrix h acts on R^{m+1} by the linear field
+(h y).d; projected along the Euler field onto the chart y = (x, 1), it is
 
-    X_h = u  +  (A - a Id) x  -  (xi . x) x,
+    X_h^i = (h y)^i - (h y)^m x_i,      i < m,
 
-constant for the u block, linear for the A block, quadratic for the xi
-block.  The map is an antihomomorphism: [X_h, X_k] = -X_{[h,k]}.
+in blocks h = [[A, u], [xi, a]] the field u + (A - a Id) x - (xi . x) x.
+The map is an antihomomorphism: [X_h, X_k] = -X_{[h,k]}.
 
 The Casimir operator sums L_u L_{u+} over a Killing-dual pair of bases,
 with the Killing form kappa(X, Y) = 2(m+1) tr(XY); on a section attached to
@@ -41,18 +40,10 @@ from functools import lru_cache
 from itertools import combinations, groupby
 from math import factorial
 
-from .poly import Poly, poly_combination
+from .poly import Poly, poly_combination, poly_sum
 from .sections import PolyVectorField, TensorSection
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-
-
-def _as_matrix(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def matrix_trace(a: Matrix) -> Fraction:
-    return sum(a[i][i] for i in range(len(a)))
 
 
 def _matrix(size: int, entries: dict) -> Matrix:
@@ -75,29 +66,28 @@ def sl_basis(m: int) -> list[Matrix]:
     return basis
 
 
+@lru_cache(maxsize=16)
+def _chart(m: int) -> tuple[Poly, ...]:
+    """The coordinates y = (x_0, ..., x_{m-1}, 1) of the chart, as polynomials."""
+    return tuple(Poly.variable(m, j) for j in range(m)) + (Poly.constant(m, 1),)
+
+
 def proj_embedding(h) -> PolyVectorField:
-    """Vector field generated by a traceless matrix under the projective action."""
-    h = _as_matrix(h)
+    """Vector field X^i = (h y)^i - (h y)^m x_i of a traceless matrix h, y = (x, 1).
+
+    A matrix that is not square, smaller than 3x3 or not traceless raises ValueError.
+    """
+    if any(len(row) != len(h) for row in h):
+        raise ValueError(f"matrix must be square, got rows of lengths {[len(r) for r in h]}")
     m = len(h) - 1
     if m < 2:
         raise ValueError("matrix must be at least 3x3")
-    if matrix_trace(h) != 0:
-        raise ValueError(f"matrix must be traceless, got trace {matrix_trace(h)}")
-    a = h[m][m]
-    comps = []
-    for i in range(m):
-        p = Poly.zero(m)
-        if h[i][m]:
-            p = p + Poly.constant(m, h[i][m])
-        for j in range(m):
-            c = h[i][j] - (a if i == j else 0)
-            if c:
-                p = p + Poly.variable(m, j).scale(c)
-        for j in range(m):
-            if h[m][j]:
-                p = p - (Poly.variable(m, j) * Poly.variable(m, i)).scale(h[m][j])
-        comps.append(p)
-    return PolyVectorField(tuple(comps))
+    trace = sum(Fraction(h[r][r]) for r in range(m + 1))
+    if trace:
+        raise ValueError(f"matrix must be traceless, got trace {trace}")
+    y = _chart(m)
+    hy = [poly_sum(m, [y[j].scale(c) for j, e in enumerate(r) if (c := Fraction(e))]) for r in h]
+    return PolyVectorField(tuple(hy[i] - hy[m] * y[i] for i in range(m)))
 
 
 def classical_casimir(section: TensorSection) -> TensorSection:

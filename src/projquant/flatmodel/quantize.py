@@ -198,8 +198,9 @@ def verify_equivariance(
     each sample symbol, and each test function; nonzero residuals are
     reported per grading, each failure naming its generator's index in
     `sl_basis(m)`, rather than raised.  Constants c_0..c_k of another
-    order, or a symbol that `quantize_densities` would refuse for its rank,
-    degree, twist or weight, raise ValueError; its symmetry is not checked.
+    order, a symbol that `quantize_densities` would refuse for its rank,
+    degree, twist or weight, and symbols or functions with no nonzero entry
+    raise ValueError; a symbol's symmetry is not checked.
     """
     lam = Fraction(lam)
     mu = Fraction(mu)
@@ -207,6 +208,11 @@ def verify_equivariance(
         raise ValueError(f"{len(coefficients)} constants for order k = {k}, want {k + 1}")
     for symbol in symbols:
         _check_symbol(m, k, mu - lam, symbol)
+    # with nothing nonzero to apply, every residual would vanish
+    if not any(symbols):
+        raise ValueError("no nonzero symbol to check")
+    if not any(functions):
+        raise ValueError("no nonzero function to check")
     exact = {-1: True, 0: True, 1: True}
     failures = []
     # Q(P) does not depend on the generator

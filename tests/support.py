@@ -206,7 +206,7 @@ def lr_by_fillings(a: IrrepLabel, b: IrrepLabel) -> dict[IrrepLabel, int]:
     independent oracle."""
     m = a.rank
     inner, content = a.diagram.rows, b.diagram.rows
-    first = a.diagram.first_row + b.diagram.first_row
+    first = max(inner, default=0) + max(content, default=0)
     ceilings = (first,) * min(len(inner) + len(content), m)
     counts: dict[IrrepLabel, int] = {}
     for outer in unpruned_outer_shapes(inner, a.size + b.size, ceilings):
@@ -455,6 +455,10 @@ def matrix_mul(a, b):
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
+
+
+def matrix_trace(a) -> Fraction:
+    return sum(a[i][i] for i in range(len(a)))
 
 
 def matrix_bracket(a, b):

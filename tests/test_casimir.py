@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -22,7 +23,13 @@ from projquant import (
     symbol_rep,
 )
 from projquant.casimir import gap_roots
-from support import eigenvalue_by_double_sum, random_canonical_label, resonances_generic
+from support import (
+    all_canonical_diagrams,
+    eigenvalue_by_double_sum,
+    lr_by_fillings,
+    random_canonical_label,
+    resonances_generic,
+)
 
 
 def all_canonical_labels(max_size, ranks, twists=(0,)):
@@ -184,6 +191,26 @@ def test_resonances_for_symbols_is_the_union_over_each_symbol_space():
             for term, _ in symbol_rep(v1, v2, k).terms:
                 want |= resonances(term)
         assert resonances_for_symbols(v1, v2, kmax) == want
+
+
+def test_resonances_for_symbols_by_fillings_and_eigenvalue_gaps():
+    # independent of tensor._strips and gap_roots: the terms of v1* (x) v2 and
+    # of each term (x) S^k are counted by LR fillings, and each term's
+    # resonances are read off the eigenvalue gaps of its rank extension
+    generic = lru_cache(maxsize=None)(resonances_generic)
+    for m in (2, 3, 4):
+        diagrams = list(all_canonical_diagrams(3, m))
+        for rows1, rows2 in product(diagrams, repeat=2):
+            v1 = canonicalize(rows1, m, 1, Fraction(1, 2))
+            v2 = canonicalize(rows2, m, 0, Fraction(-1, 3))
+            pairs = lr_by_fillings(dual(v1), v2)
+            want = frozenset()
+            for kmax in range(4):
+                power = canonicalize((kmax,), m)
+                for pair in pairs:
+                    for term in lr_by_fillings(pair, power):
+                        want |= generic(term)
+                assert resonances_for_symbols(v1, v2, kmax) == want, (v1, v2, kmax)
 
 
 def test_resonances_for_symbols_rank_mismatch():

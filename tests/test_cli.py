@@ -183,9 +183,9 @@ def test_casimir_check_answers_past_the_recursion_limit_in_rank(capsys):
     assert payload["matches"] is True
 
 
-def test_calls_at_a_million_variables_fit_in_one_gibibyte():
-    # a polynomial layout is O(m) memory: a million variables once took a
-    # MemoryError or an out-of-memory kill; the cap makes that fail fast
+def run_in_one_gibibyte(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a subprocess whose address space is capped at 1 GiB, so a
+    call that would outgrow it fails fast instead of exhausting memory."""
     script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -193,17 +193,19 @@ def test_calls_at_a_million_variables_fit_in_one_gibibyte():
         "sys.exit(main(sys.argv[1:]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(projquant.__file__).parents[1]))
-    calls = [
-        ["quantize", "--m", "1000000", "-k", "1", "--lambda", "0", "--mu", "0"],
-        ["casimir-check", "--m", "1000000", "--diagram", "0", "--max-degree", "0",
-         "--trials", "1"],
-    ]  # fmt: skip
-    quantize, casimir = (
-        subprocess.run(
-            [sys.executable, "-c", script, *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )  # fmt: skip
-        for argv in calls
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_calls_at_a_million_variables_fit_in_one_gibibyte():
+    # a polynomial layout is O(m) memory: a million variables once took a
+    # MemoryError or an out-of-memory kill
+    quantize = run_in_one_gibibyte(
+        "quantize", "--m", "1000000", "-k", "1", "--lambda", "0", "--mu", "0"
+    )
+    casimir = run_in_one_gibibyte(
+        "casimir-check", "--m", "1000000", "--diagram", "0", "--max-degree", "0", "--trials", "1"
     )
     assert quantize.returncode == 1 and quantize.stderr == ""
     assert json.loads(quantize.stdout) == {
@@ -251,6 +253,22 @@ def test_casimir_check_over_the_section_budget_is_domain_error(capsys, monkeypat
         "error": "domain error",
         "message": "a section of diagram 3,3,2 at m = 5 stores up to 5^8 = 390625 "
         "index tuples, over the budget of 100000",
+    }
+
+
+def test_casimir_check_over_the_draw_budget_is_refused_fast():
+    # 600 index tuples times C(602, 2) = 180,901 monomials: within each
+    # budget apart, about 1.1e8 coefficients together
+    start = time.perf_counter()
+    run = run_in_one_gibibyte(
+        "casimir-check", "--m", "600", "--diagram", "1", "--max-degree", "2", "--trials", "1"
+    )
+    assert time.perf_counter() - start < 1
+    assert run.returncode == 1 and run.stderr == ""
+    assert json.loads(run.stdout) == {
+        "error": "domain error",
+        "message": "a section of diagram 1 at m = 600 draws up to 600 x 180901 = 108540600 "
+        "coefficients of degree <= 2, over the budget of 10000000",
     }
 
 

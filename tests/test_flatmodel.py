@@ -39,7 +39,6 @@ from projquant.flatmodel import (
     sl_basis,
     young_section,
 )
-from projquant.flatmodel.algebra import matrix_trace
 from projquant.flatmodel.operators import operator_combination
 from projquant.flatmodel.sections import _exponents
 import support
@@ -54,6 +53,7 @@ from support import (
     killing_dual_basis,
     killing_form,
     matrix_bracket,
+    matrix_trace,
     max_coefficient_degree,
     operator_sum_by_beta,
 )
@@ -97,6 +97,45 @@ def test_proj_embedding_zero_and_trace_check():
     bad[0][0] = 1
     with pytest.raises(ValueError):
         proj_embedding(bad)
+
+
+def test_proj_embedding_refuses_a_matrix_that_is_not_square():
+    # a 3x4 matrix once lost its last column, so this one read as the zero
+    # field, and a 4x3 one raised IndexError
+    wide = [[0, 0, 0, 5], [0, 0, 0, 0], [0, 0, 0, 0]]
+    tall = [[0, 0, 0] for _ in range(4)]
+    ragged = [[0, 0, 0], [0, 0], [0, 0, 0]]
+    for h, lengths in [(wide, "[4, 4, 4]"), (tall, "[3, 3, 3, 3]"), (ragged, "[3, 2, 3]")]:
+        with pytest.raises(ValueError) as exc:
+            proj_embedding(h)
+        assert str(exc.value) == f"matrix must be square, got rows of lengths {lengths}"
+
+
+@st.composite
+def traceless_pairs(draw):
+    """Two dense traceless matrices of one size, rank 2..5, and a rational."""
+    m = draw(st.integers(min_value=2, max_value=5))
+    entries = st.fractions(-3, 3, max_denominator=7)
+
+    def traceless():
+        h = [[draw(entries) for _ in range(m + 1)] for _ in range(m + 1)]
+        h[m][m] -= sum(h[i][i] for i in range(m + 1))
+        return tuple(map(tuple, h))
+
+    return traceless(), traceless(), draw(entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(traceless_pairs())
+def test_embedding_is_linear_and_an_antihomomorphism_on_dense_matrices(case):
+    a, b, s = case
+    x, y = proj_embedding(a), proj_embedding(b)
+    combined = tuple(tuple(p + s * q for p, q in zip(ra, rb)) for ra, rb in zip(a, b))
+    assert proj_embedding(combined).components == tuple(
+        p + q.scale(s) for p, q in zip(x.components, y.components)
+    )
+    bracket = tuple(tuple(-e for e in row) for row in matrix_bracket(a, b))
+    assert field_bracket(x, y) == proj_embedding(bracket)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

@@ -175,6 +175,30 @@ def test_equivariance_refuses_constants_or_symbols_of_another_order():
     assert verify_equivariance(m, 1, lam, mu, order[1], [one], [f]).all_exact
 
 
+def test_equivariance_refuses_to_check_nothing():
+    # with no nonzero symbol or function every residual vanishes, so the
+    # wrong constants (1, 7) once read as exact at every grading
+    m, lam, delta = 2, Fraction(1, 3), Fraction(5, 11)
+    mu = lam + delta
+    rng = random.Random(3)
+    symbol = random_section(m, (1,), 0, delta, 2, rng)
+    f = random_polynomial(m, 3, rng)
+    wrong = (Fraction(1), Fraction(7))
+    zero_symbol = TensorSection(m, 1, 0, delta)
+    for symbols, functions, message in [
+        ([], [], "no nonzero symbol to check"),
+        ([], [f], "no nonzero symbol to check"),
+        ([zero_symbol], [f], "no nonzero symbol to check"),
+        ([symbol], [], "no nonzero function to check"),
+        ([symbol], [Poly.zero(m), Poly.zero(m)], "no nonzero function to check"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            verify_equivariance(m, 1, lam, mu, wrong, symbols, functions)
+        assert str(exc.value) == message
+    report = verify_equivariance(m, 1, lam, mu, wrong, [symbol], [f])
+    assert report.failures and not report.quadratic_exact
+
+
 @pytest.mark.parametrize("m", range(2, 7))
 def test_failures_report_the_block_grading_of_their_generator(m, monkeypatch):
     # the last row left of the corner is the quadratic block (grading 1), the
