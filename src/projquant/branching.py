@@ -28,9 +28,10 @@ class BranchLabel(Record):
         removals = tuple(int(r) for r in removals)
         if any(r < 0 for r in removals):
             raise ValueError(f"negative removal count in {removals}")
-        while removals and removals[-1] == 0:
-            removals = removals[:-1]
-        object.__setattr__(self, "removals", removals)
+        end = len(removals)
+        while end and not removals[end - 1]:
+            end -= 1
+        object.__setattr__(self, "removals", removals[:end])  # the tuple itself at full length
 
     # lift plans key their scalars by removal vector; inline as for labels
     def __eq__(self, other):

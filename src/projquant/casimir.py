@@ -1,8 +1,9 @@
 """Casimir eigenvalues and resonant weights.
 
 The Casimir operator of the projective embedding of sl(m+1) acts on sections
-associated to an irreducible (D, n, delta) by a scalar alpha that is an
-exact quadratic polynomial in delta with leading coefficient m/2.
+associated to an irreducible (D, n, delta) by a scalar alpha, a quadratic
+in delta read off the diagram: its size and its content (`eigenvalue`),
+checked against the m^2 double sum `tests/support.py::eigenvalue_by_double_sum`.
 
 A weight delta is *resonant* when some nonzero-removal component q of the
 rank extension shares its eigenvalue with the zero-removal component.  The
@@ -34,27 +35,15 @@ class EigenvaluePoly(Record):
 def eigenvalue(label: IrrepLabel) -> EigenvaluePoly:
     """Casimir eigenvalue of a canonical label, as a polynomial in the weight.
 
-    With rows d padded by zeros to the rank m, size d and twist n:
+    With rank m, t = delta - n, k = |D| and the content c(D), column minus row
+    summed over the boxes, c(D) = sum_i (r_i(r_i - 1)/2 - i r_i) over rows i >= 0:
 
-        alpha = (m(n - delta) + d)(m(n + 1 - delta) + d) / 2m
-              + (1 / 2m(m+1)) * sum_{i,j=1..m}
-                    d_i d_j (m kron_ij - 1) + 2 d_i (m - j)(m kron_ij - 1)
-
-    The j-sums close, leaving m sum_i d_i (d_i + m + 1 - 2i) - d^2 over the
-    nonzero rows only, so the cost grows with the depth, not with m.
+        alpha = (m/2) t(t - 1) + k(1 - t) + (k(k - 1) + 2c(D)) / 2(m+1)
     """
-    m = label.rank
-    rows = label.diagram.rows
-    size = label.size
-    a = m * label.twist + size
-    # (a - m*delta)(a + m - m*delta) / 2m expanded in delta
-    c0 = Fraction(a * (a + m), 2 * m)
-    c1 = Fraction(-(2 * a + m), 2)
-    c2 = Fraction(m, 2)
-    # row i (0-based here) contributes d_i (d_i + m - 1 - 2i)
-    s = m * sum(r * (r + m - 1 - 2 * i) for i, r in enumerate(rows)) - size * size
-    c0 += Fraction(s, 2 * m * (m + 1))
-    return EigenvaluePoly(c0, c1, c2)
+    m, n, k = label.rank, label.twist, label.size
+    content2 = sum(r * (r - 1 - 2 * i) for i, r in enumerate(label.diagram.rows))  # 2c(D)
+    c0 = Fraction((m + 1) * (n + 1) * (m * n + 2 * k) + k * (k - 1) + content2, 2 * (m + 1))
+    return EigenvaluePoly(c0, Fraction(-(m * (2 * n + 1) + 2 * k), 2), Fraction(m, 2))
 
 
 def gap_roots(label: IrrepLabel) -> list[Fraction]:

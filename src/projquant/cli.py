@@ -181,7 +181,7 @@ def _cmd_casimir_check(args) -> tuple[dict, int]:
     import random
 
     from .flatmodel.algebra import classical_casimir
-    from .flatmodel.sections import _MONOMIAL_BUDGET, random_section
+    from .flatmodel.sections import _monomial_count, random_section
 
     label = canonicalize(args.diagram.rows, args.m, args.n, args.delta)
     m, boxes = label.rank, label.diagram.size
@@ -190,15 +190,8 @@ def _cmd_casimir_check(args) -> tuple[dict, int]:
             f"a section of diagram {label.diagram} at m = {m} stores up to "
             f"{m}^{boxes} = {count} index tuples, over the budget of {_SECTION_BUDGET}"
         )
-    # C(m + d, d) monomials per polynomial, built up only until it passes the
-    # monomial budget: random_polynomial refuses those with its own message
-    low, high = sorted((m, args.max_degree))
-    monomials = 1
-    for i in range(1, low + 1):
-        monomials = monomials * (high + i) // i
-        if monomials > _MONOMIAL_BUDGET:
-            break
-    if monomials <= _MONOMIAL_BUDGET and (draws := count * monomials) > _DRAW_BUDGET:
+    monomials = _monomial_count(m, args.max_degree)  # per polynomial, or ValueError
+    if (draws := count * monomials) > _DRAW_BUDGET:
         raise ValueError(
             f"a section of diagram {label.diagram} at m = {m} draws up to {count} x "
             f"{monomials} = {draws} coefficients of degree <= {args.max_degree}, "

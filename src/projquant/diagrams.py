@@ -56,8 +56,8 @@ class YoungDiagram(Record):
             raise ValueError(f"negative row length in {rows}")
         if any(a < b for a, b in zip(rows, rows[1:])):
             raise ValueError(f"row lengths must be non-increasing: {rows}")
-        while rows and rows[-1] == 0:
-            rows = rows[:-1]
+        if rows and not rows[-1]:  # non-increasing, so the zeros are one tail: one slice
+            rows = rows[: rows.index(0)]
         object.__setattr__(self, "rows", rows)
 
     # labels are dictionary keys in every decomposition, and comparing the

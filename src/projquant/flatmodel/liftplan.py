@@ -5,15 +5,17 @@ label is determined by its zero-removal projection: every other component
 is obtained from the components one box below it, scaled by
 -2 / (alpha_0 - alpha_q) = 2/(|q|(delta - r_q)), with the root r_q that
 `casimir.gap_roots` shares with `resonances`.  The scalars and the single-box
-edges form a DAG rooted at q = 0; the denominators vanish exactly at the
-resonant weights, where no lift exists.
+edges (q, q + e_i), one per row i with room left in the box of row slacks,
+form a DAG rooted at q = 0; the denominators vanish exactly at the resonant
+weights, where no lift exists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
-from ..branching import _component, branch_labels
+from ..branching import _component, _row_slacks, branch_labels
 from ..casimir import eigenvalue, gap_roots
 from ..diagrams import IrrepLabel, extend_rank
 from ..errors import ResonantWeight
@@ -43,7 +45,6 @@ def lift_plan(label: IrrepLabel, delta: Fraction) -> LiftPlan:
     delta = Fraction(delta)
     parent = extend_rank(label)
     labels = branch_labels(parent)
-    m = label.rank
     nodes = [LiftNode(labels[0], _component(parent, labels[0]), None)]  # q = 0 comes first
     for q, root in zip(labels[1:], gap_roots(label)):
         child = _component(parent, q)
@@ -55,13 +56,14 @@ def lift_plan(label: IrrepLabel, delta: Fraction) -> LiftPlan:
                 delta,
             )
         nodes.append(LiftNode(q, child, 2 / (q.norm * (delta - root))))
-    # edges reuse the node labels, looked up by padded removal vector
-    by_padded = {q.padded(m): q for q in labels}
-    edges = []
-    for q in labels:
-        padded = q.padded(m)
-        for i in range(m):
-            target = by_padded.get(padded[:i] + (padded[i] + 1,) + padded[i + 1 :])
-            if target is not None:
-                edges.append((q, target))
+    # branch_labels lists the box of row slacks s in lexicographic order, so
+    # q + e_i, for q_i < s_i, sits prod_{j > i} (s_j + 1) places after q
+    slacks = _row_slacks(parent)[: label.diagram.depth]  # none past the depth
+    strides = [prod(s + 1 for s in slacks[i + 1 :]) for i in range(len(slacks))]
+    edges = [
+        (q, labels[place + stride])
+        for place, q in enumerate(labels)
+        for qi, s, stride in zip(q.padded(len(slacks)), slacks, strides)
+        if qi < s
+    ]
     return LiftPlan(label, delta, tuple(nodes), tuple(edges))

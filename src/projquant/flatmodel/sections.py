@@ -21,7 +21,6 @@ from collections import defaultdict
 from collections.abc import Mapping
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, permutations, product
-from math import comb
 
 from ..diagrams import YoungDiagram
 from ..records import Record
@@ -175,16 +174,32 @@ def _monomial_keys(rank: int, max_degree: int) -> tuple[int, ...]:
 _MONOMIAL_BUDGET = 10**6
 
 
+def _monomial_count(rank: int, max_degree: int) -> int:
+    """C(max_degree + rank, rank), the monomials of degree <= max_degree >= 0.
+
+    The binomial is built factor by factor, C(high + i, i) for i up to the
+    smaller argument, and ValueError is raised as soon as it passes
+    _MONOMIAL_BUDGET, so no huge binomial is ever formed.
+    """
+    low, high = sorted((rank, max_degree))
+    count = 1
+    for i in range(1, low + 1):
+        count = count * (high + i) // i
+        if count > _MONOMIAL_BUDGET:
+            bound = "" if i == low else "at least "
+            raise ValueError(
+                f"{bound}{count} monomials of degree <= {max_degree} in {rank} variables "
+                f"exceed the budget of {_MONOMIAL_BUDGET}"
+            )
+    return count
+
+
 def random_polynomial(rank: int, max_degree: int, rng) -> Poly:
     """Coefficients drawn from -3..3 for every monomial of degree <= max_degree.
 
     More than _MONOMIAL_BUDGET monomials raises ValueError before any is listed.
     """
-    if max_degree >= 0 and (count := comb(max_degree + rank, rank)) > _MONOMIAL_BUDGET:
-        raise ValueError(
-            f"{count} monomials of degree <= {max_degree} in {rank} variables "
-            f"exceed the budget of {_MONOMIAL_BUDGET}"
-        )
+    _monomial_count(rank, max_degree)
     keys = _monomial_keys(rank, max_degree)
     return _poly(_layout(rank), {key: c for key in keys if (c := rng.randint(-3, 3))}, 1)
 

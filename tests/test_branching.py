@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
@@ -30,6 +31,15 @@ def test_branch_labels_of_box():
     for q in labels:
         child = component(parent, q)
         assert child.twist == 0 and child.weight == Fraction(1, 2)
+
+
+def test_branch_label_trims_zeros_in_one_slice():
+    assert BranchLabel((0, 1, 0, 0)).removals == (0, 1)
+    assert BranchLabel((0, 0)).removals == ()
+    # dropping one zero per copy is quadratic: this tail took about 16 s
+    start = time.perf_counter()
+    assert BranchLabel((1,) + (0,) * 100000).removals == (1,)
+    assert time.perf_counter() - start < 1
 
 
 def test_branch_labels_of_322():

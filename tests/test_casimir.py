@@ -227,6 +227,13 @@ def content_labels(draw):
     return IrrepLabel(YoungDiagram(rows[::-1]), m, draw(st.integers(-4, 4)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(content_labels())
+def test_eigenvalue_equals_the_double_sum_up_to_rank_60(label):
+    # the content form against all m^2 index pairs of the rows padded to the rank
+    assert eigenvalue(label) == eigenvalue_by_double_sum(label)
+
+
 def content(boxes):
     """Sum of column - row over (row, column) boxes, both counted from 0."""
     return sum(col - row for row, col in boxes)

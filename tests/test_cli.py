@@ -272,6 +272,23 @@ def test_casimir_check_over_the_draw_budget_is_refused_fast():
     }
 
 
+def test_casimir_check_refuses_a_huge_monomial_count_fast():
+    # C(2 * 10^6, 10^6) has about 600,000 digits: forming it took about 40 s,
+    # and then printing it failed on the interpreter's digit limit
+    start = time.perf_counter()
+    run = run_in_one_gibibyte(
+        "casimir-check",
+        "--m", "1000000", "--diagram", "0", "--max-degree", "1000000", "--trials", "1",
+    )  # fmt: skip
+    assert time.perf_counter() - start < 1
+    assert run.returncode == 1 and run.stderr == ""
+    assert json.loads(run.stdout) == {
+        "error": "domain error",
+        "message": "at least 1000001 monomials of degree <= 1000000 in 1000000 variables "
+        "exceed the budget of 1000000",
+    }
+
+
 def test_casimir_check_spreads_a_long_row_over_its_distinct_rearrangements(capsys):
     # a row of 12 boxes at m = 2 stores 2^12 index tuples; listing all 12!
     # orders of each row key took minutes

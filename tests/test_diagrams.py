@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,16 @@ def test_diagram_rejects_bad_rows():
         YoungDiagram((1, 2))
     with pytest.raises(ValueError):
         YoungDiagram((2, -1))
+    # the checks see the rows as given, before the trim
+    with pytest.raises(ValueError, match=r"non-increasing: \(1, 2, 0\)$"):
+        YoungDiagram((1, 2, 0))
+
+
+def test_diagram_trims_a_long_zero_tail_in_one_slice():
+    # dropping one zero per copy is quadratic: this tail took about 16 s
+    start = time.perf_counter()
+    assert YoungDiagram((1,) + (0,) * 100000).rows == (1,)
+    assert time.perf_counter() - start < 1
 
 
 def test_canonicalize_examples():

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from pathlib import Path
@@ -458,6 +459,10 @@ def test_random_polynomial_over_the_monomial_budget_raises_before_listing():
     # C(1414, 2) = 998991 is within the budget, C(1415, 2) = 1000405 is not
     with pytest.raises(ValueError, match="^1000405 monomials"):
         random_polynomial(2, 1413, random.Random(0))
+    # in 3 variables the count passes the budget one factor early: C(1415, 2)
+    # bounds C(1416, 3) from below, and the binomial itself is never formed
+    with pytest.raises(ValueError, match="^at least 1000405 monomials of degree <= 1413 in 3 "):
+        random_polynomial(3, 1413, random.Random(0))
 
 
 def test_lie_derivative_translation_kills_constants():
@@ -688,6 +693,34 @@ def test_lift_plan_reaches_every_node_from_root():
         assert reached == {node.removals for node in plan.nodes}
         assert all(dst.norm == src.norm + 1 for src, dst in plan.edges)
         checked += 1
+
+
+def test_lift_plan_edges_are_the_single_box_steps_between_nodes():
+    # every ordered pair of nodes whose padded removal vectors differ by one
+    # unit vector e_i, in node order and then i ascending
+    delta = Fraction(1, 997)  # no gap root at these ranks has 997 in its denominator
+    for m in range(2, 8):
+        units = [tuple(int(j == i) for j in range(m)) for i in range(m)]
+        for rows in all_canonical_diagrams(5, m):
+            plan = lift_plan(canonicalize(rows, m, 0, 0), delta)
+            padded = [(node.removals, node.removals.padded(m)) for node in plan.nodes]
+            want = [
+                (p, q)
+                for p, p_pad in padded
+                for unit in units
+                for q, q_pad in padded
+                if tuple(b - a for a, b in zip(p_pad, q_pad)) == unit
+            ]
+            assert plan.edges == tuple(want), (m, rows)
+
+
+def test_lift_plan_at_rank_20000_is_fast():
+    # each node's edges read the row slacks up to the depth, not a padded
+    # tuple per row: this call took 42 s
+    start = time.perf_counter()
+    plan = lift_plan(canonicalize((3, 1), 20000), Fraction(1, 3))
+    assert time.perf_counter() - start < 1
+    assert (len(plan.nodes), len(plan.edges)) == (6, 7)
 
 
 def test_lift_plan_resonant_denominators():
