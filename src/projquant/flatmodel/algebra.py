@@ -26,7 +26,8 @@ tensor holds, every swap returns that polynomial; on an orbit of k
 distinct indices whose polynomials alternate in sign, which is what a
 one-column tensor holds, every swap returns its negation.  Either way the
 whole orbit is one scaled copy, negated on the odd tuples of an alternating
-orbit.
+orbit, and both take constant time, since they share the stored
+polynomial's terms.
 The derivation of the three parts from the Killing-dual field pairs, with
 the check that every surviving term is a constant, lives with the tests
 (`tests/support.py`), which compare it with the closed form rank by rank.
@@ -110,7 +111,8 @@ def classical_casimir(section: TensorSection) -> TensorSection:
 
         C(s)^I = chi(I) (diagonal + chi(swap) k(k-1)/2 swap)/den P
 
-    at every tuple of the orbit: one scaled copy and its negation.  The
+    at every tuple of the orbit: one scaled copy and its negation, both
+    constant-time, as `Poly` keeps its content apart from its terms.  The
     character is read from the stored polynomials: trivial when they all
     compare equal (a symmetric tensor), the sign when the k indices are
     distinct and the polynomials alternate (a one-column tensor).  Any

@@ -52,18 +52,25 @@ def derivative_of_poly(p: Poly, beta: MultiIndex) -> Poly:
 
 
 def compose(outer: DiffOperator, inner: DiffOperator) -> DiffOperator:
-    """Operator composition, expanding d^alpha (b g) by the Leibniz rule."""
+    """Operator composition, expanding d^alpha (b g) by the Leibniz rule.
+
+    Only the d^tau b with |tau| <= deg b can be nonzero, so tau ranges over
+    those, and its binomial factor is formed once d^tau b is known nonzero.
+    """
     rank = outer.rank
     parts: dict[MultiIndex, list[Poly]] = defaultdict(list)
     for alpha, pa in outer.coeffs.items():
         for beta, pb in inner.coeffs.items():
-            for tau in product(*(range(a + 1) for a in alpha)):
-                factor = 1
-                for a, t in zip(alpha, tau):
-                    factor *= comb(a, t)
+            degree = pb.total_degree()
+            for tau in product(*(range((a if a < degree else degree) + 1) for a in alpha)):
+                if sum(tau) > degree:
+                    continue
                 q = derivative_of_poly(pb, tau)
                 if not q:
                     continue
+                factor = 1
+                for a, t in zip(alpha, tau):
+                    factor *= comb(a, t)
                 gamma = tuple(a - t + b for a, t, b in zip(alpha, tau, beta))
                 parts[gamma].append(pa * q.scale(factor))
     return DiffOperator(rank, {gamma: poly_sum(rank, terms) for gamma, terms in parts.items()})

@@ -1,13 +1,20 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial stores integer numerators over one shared positive
-denominator.  Every result is reduced (the denominator is coprime to the
-numerators as a whole, and the zero polynomial has denominator 1), so
-equal polynomials have equal representations and compare equal.  A sum is
-reduced after its one merge.  A scaled copy (`scale`, negation, a
-one-term combination) is reduced before it is built, the factor against
-the denominator and then the numerators' gcd against what is left, so it
-takes one pass over the terms.
+A polynomial stores its content num/den apart from its primitive part: a
+dict of integer coefficients whose gcd is 1 and whose coefficient at the
+largest monomial key is positive, with gcd(num, den) = 1 and den > 0.  The
+zero polynomial is no terms over 0/1.  Equal polynomials therefore have
+equal representations and compare equal.
+
+A scaled copy (`scale`, negation, a one-term combination) changes only
+the content, so it costs O(1) and shares the original's terms dict, which
+no operation mutates.  A product needs no gcd pass either: by Gauss's
+lemma a product of primitive polynomials is primitive, and since adding
+keys is a monomial order its largest key is the sum of the two largest
+keys, whose coefficient is the product of two positive ones.  A sum and a
+derivative take one C-level gcd over the coefficients and one `max` over
+the keys, and a division pass only when the gcd is not 1 or the largest
+coefficient is negative.
 
 Each monomial is one packed int.  With a field width w that depends only on
 the number of variables, the exponent of variable i occupies bits
@@ -54,7 +61,7 @@ class _Layout:
         # (shift, key of x_i, mask) per variable: what diff needs, filled on
         # first use, since each key has as many bits as the layout's keys
         self.steps = [None] * nvars
-        self.zero = _poly(self, {}, 1)
+        self.zero = _make(self, {}, 0, 1)
 
     def pack(self, exps: Iterable[int]) -> int:
         exps = tuple(exps)
@@ -91,20 +98,30 @@ class _Layout:
 _layout = lru_cache(maxsize=None)(_Layout)
 
 
-def _poly(layout: _Layout, terms: dict[int, int], den: int, factor: int = 1) -> "Poly":
-    """Poly of factor times packed terms with nonzero numerators over den > 0,
-    for a nonzero factor coprime to den: reduced and scaled in one pass."""
-    g = gcd(den, *terms.values()) if den != 1 else 1
-    if g != 1:
-        den //= g
-        terms = {k: v // g * factor for k, v in terms.items()}
-    elif factor != 1:
-        terms = {k: v * factor for k, v in terms.items()}
+def _make(layout: _Layout, terms: dict[int, int], num: int, den: int) -> "Poly":
+    """Poly of num/den times terms, which must already be canonical."""
     result = Poly.__new__(Poly)
     result._layout = layout
     result._terms = terms
+    result._num = num
     result._den = den
     return result
+
+
+def _poly(layout: _Layout, terms: dict[int, int], num: int = 1, den: int = 1) -> "Poly":
+    """num/den times packed terms with nonzero integer coefficients, for
+    den > 0: the terms' content, signed like the coefficient at the largest
+    key, moves into num, and num/den is reduced."""
+    if not terms or not num:
+        return layout.zero
+    g = gcd(*terms.values())
+    if terms[max(terms)] < 0:
+        g = -g
+    if g != 1:
+        terms = {k: v // g for k, v in terms.items()}
+        num *= g
+    g = gcd(num, den)
+    return _make(layout, terms, num // g, den // g)
 
 
 def poly_sum(nvars: int, polys: Iterable["Poly"]) -> "Poly":
@@ -118,20 +135,19 @@ def poly_combination(nvars: int, terms: Iterable[tuple[int, "Poly"]], den: int =
 
 
 def _scaled(layout: _Layout, c: int, p: "Poly", den: int = 1) -> "Poly":
-    """c * p / den for an int c and den > 0, reduced before the one pass over
-    p's terms: c against den times p's denominator, then p's numerators
-    against what is left.  A result equal to p shares p's terms."""
+    """c * p / den for an int c and den > 0 in O(1): only the content
+    changes, so the result shares p's terms."""
     if not c or not p._terms:
         return layout.zero
-    den *= p._den
-    g = gcd(c, den)
-    return _poly(layout, p._terms, den // g, c // g)
+    num, den = c * p._num, den * p._den
+    g = gcd(num, den)
+    return _make(layout, p._terms, num // g, den // g)
 
 
 def _combine(layout: _Layout, terms: list[tuple[int, "Poly"]], den: int = 1) -> "Poly":
     """The one merge loop: every c * p scaled to a common denominator and
-    summed into one dict, then reduced over that denominator times den.
-    One term is a scaled copy."""
+    summed into one dict of integers, then put in canonical form over that
+    denominator times den.  One term is a scaled copy."""
     if len(terms) == 1:
         (c, p), = terms
         layout.require(p)
@@ -145,7 +161,7 @@ def _combine(layout: _Layout, terms: list[tuple[int, "Poly"]], den: int = 1) -> 
             common = lcm(common, p._den)
     out: dict[int, int] = {}
     for c, p in terms:
-        f = c * (common // p._den)
+        f = c * p._num * (common // p._den)
         if not f:
             continue
         if not out:
@@ -158,11 +174,11 @@ def _combine(layout: _Layout, terms: list[tuple[int, "Poly"]], den: int = 1) -> 
                 out[k] = s
             else:
                 del out[k]
-    return _poly(layout, out, common * den)
+    return _poly(layout, out, 1, common * den)
 
 
 class Poly:
-    __slots__ = ("_layout", "_terms", "_den")
+    __slots__ = ("_layout", "_terms", "_num", "_den")
 
     def __init__(self, nvars: int, coeffs: Mapping[Monomial, object] | None = None):
         layout = _layout(nvars)
@@ -176,10 +192,12 @@ class Poly:
             if value:
                 values[layout.pack(exps)] = value
                 den = lcm(den, value.denominator)
-        # numerators over the lcm of reduced denominators share no factor with it
+        terms = {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+        canonical = _poly(layout, terms, 1, den)
         self._layout = layout
-        self._terms = {k: v.numerator * (den // v.denominator) for k, v in values.items()}
-        self._den = den
+        self._terms = canonical._terms
+        self._num = canonical._num
+        self._den = canonical._den
 
     @property
     def nvars(self) -> int:
@@ -194,12 +212,12 @@ class Poly:
     def coeffs(self) -> dict[Monomial, int | Fraction]:
         """{exponent tuple: int or Fraction}, rebuilt on every access."""
         unpack = self._layout.unpack
-        den = self._den
+        num, den = self._num, self._den
         if den == 1:
-            return {unpack(k): v for k, v in self._terms.items()}
+            return {unpack(k): num * v for k, v in self._terms.items()}
         out = {}
         for k, v in self._terms.items():
-            q = Fraction(v, den)
+            q = Fraction(num * v, den)
             out[unpack(k)] = q.numerator if q.denominator == 1 else q
         return out
 
@@ -229,12 +247,13 @@ class Poly:
             return NotImplemented
         return (
             self._layout is other._layout
+            and self._num == other._num
             and self._den == other._den
             and self._terms == other._terms
         )
 
     def __hash__(self):
-        return hash((self.nvars, self._den, frozenset(self._terms.items())))
+        return hash((self.nvars, self._num, self._den, frozenset(self._terms.items())))
 
     def __reduce__(self):  # a copy shares the cached layout, so it combines
         return Poly, (self.nvars, self.coeffs)
@@ -279,7 +298,10 @@ class Poly:
                     out[k] = s
                 else:
                     del out[k]
-        return _poly(self._layout, out, self._den * other._den)
+        # primitive with a positive lead, as both factors are
+        num, den = self._num * other._num, self._den * other._den
+        g = gcd(num, den)
+        return _make(self._layout, out, num // g, den // g)
 
     __rmul__ = __mul__
 
@@ -296,7 +318,7 @@ class Poly:
             for k, v in self._terms.items()
             if (e := (k >> shift) & mask)
         }
-        return _poly(layout, out, self._den)
+        return _poly(layout, out, self._num, self._den)
 
     def total_degree(self) -> int:
         """Largest monomial degree; -1 for the zero polynomial."""
@@ -313,7 +335,7 @@ class Poly:
                 if e:
                     term *= Fraction(x) ** e
             total += term
-        return total / self._den
+        return total * self._num / self._den
 
     def __repr__(self) -> str:
         coeffs = self.coeffs

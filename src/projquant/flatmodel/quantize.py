@@ -69,8 +69,8 @@ def quantization_operator(symbol: TensorSection, coefficients) -> DiffOperator:
 
 # (m + 4)(k + 4) at most this.  On a 2-vCPU machine with Python 3.11 the
 # calls along its edge, (2, 262), (6, 150), (12, 96), (36, 36) and (316, 1),
-# take 0.9-2.1 s, nearly all of it in the residual check and, at large m,
-# in `proj_embedding`; past it (1000, 1) took 12 s
+# take 0.5-0.9 s in a fresh process, nearly all of it in the residual check
+# and, at large m, in `proj_embedding`; past it (1000, 1) took 9 s
 _QUANTIZE_BUDGET = 1600
 
 

@@ -201,7 +201,7 @@ def random_polynomial(rank: int, max_degree: int, rng) -> Poly:
     """
     _monomial_count(rank, max_degree)
     keys = _monomial_keys(rank, max_degree)
-    return _poly(_layout(rank), {key: c for key in keys if (c := rng.randint(-3, 3))}, 1)
+    return _poly(_layout(rank), {key: c for key in keys if (c := rng.randint(-3, 3))})
 
 
 def random_section(

@@ -29,6 +29,7 @@ from projquant.flatmodel import (
     PolyVectorField,
     TensorSection,
     classical_casimir,
+    compose,
     contraction_operator,
     density_quant_coefficients,
     divergence,
@@ -352,6 +353,31 @@ def test_operator_combination_equals_the_sum_by_beta(case):
     assert not operator_combination(m, terms + [(-c, op) for c, op in terms])
     for _, op in terms:
         assert not operator_combination(m, [(1, op), (-1, op)])
+
+
+@st.composite
+def operator_pairs(draw):
+    """Two operators of one rank whose derivative orders often pass the
+    degrees of the inner operator's coefficients."""
+    m = draw(st.integers(2, 3))
+    index = st.tuples(*[st.integers(0, 3)] * m).filter(lambda b: sum(b) <= 3)
+    exps = st.tuples(*[st.integers(0, 2)] * m)
+    poly = st.dictionaries(exps, st.fractions(-3, 3, max_denominator=4), max_size=3)
+    op = st.dictionaries(index, poly.map(lambda c: Poly(m, c)), max_size=3)
+    return m, DiffOperator(m, draw(op)), DiffOperator(m, draw(op))
+
+
+@settings(max_examples=60, deadline=None)
+@given(operator_pairs())
+def test_composition_acts_as_the_two_operators_in_turn(case):
+    # an operator of order r is fixed by its values on the monomials of
+    # degree <= r, so this pins compose(outer, inner) exactly
+    m, outer, inner = case
+    composed = compose(outer, inner)
+    order = max(outer.order, 0) + max(inner.order, 0)
+    for exps in _exponents(m, order):
+        f = Poly.monomial(m, exps)
+        assert composed.apply(f) == outer.apply(inner.apply(f))
 
 
 def test_casimir_rejects_rank_below_two():

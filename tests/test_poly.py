@@ -124,6 +124,62 @@ def test_scaled_copy_matches_reference_and_is_reduced(case):
         assert got._terms or got._den == 1
 
 
+def _assert_canonical(p: Poly) -> None:
+    """Content num/den times a primitive part with a positive lead."""
+    terms, num, den = p._terms, p._num, p._den
+    if not terms:
+        assert (terms, num, den) == ({}, 0, 1)
+        return
+    assert all(type(v) is int and v for v in terms.values())
+    assert gcd(*terms.values()) == 1
+    assert terms[max(terms)] > 0
+    assert num and den > 0 and gcd(num, den) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs(), SCALARS, st.integers(min_value=1, max_value=12))
+def test_every_result_is_in_canonical_form(pair, factor, den):
+    nvars, a, b = pair
+    pa, pb = Poly(nvars, a), Poly(nvars, b)
+    results = [
+        pa,
+        pb,
+        pa + pb,
+        pa - pb,
+        pa - pa,
+        pa * pb,
+        pa.scale(factor),
+        pa * factor,
+        -pa,
+        poly_sum(nvars, [pa, pb, pa]),
+        poly_sum(nvars, [pb]),
+        poly_combination(nvars, [(3, pa), (-2, pb)], den),
+        poly_combination(nvars, [(2, pa)], den),
+    ]
+    results += [pa.diff(i) for i in range(nvars)]
+    results += [(pa * pb).diff(i) for i in range(nvars)]
+    for p in results:
+        _assert_canonical(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_pairs(), SCALARS.filter(bool), st.integers(min_value=1, max_value=12))
+def test_scaled_copies_share_the_terms_and_leave_the_original(pair, factor, den):
+    nvars, a, _ = pair
+    p = Poly(nvars, a)
+    before = p.coeffs
+    copies = [p.scale(factor), -p, factor * p, poly_combination(nvars, [(-3, p)], den)]
+    if p:
+        assert all(q._terms is p._terms for q in copies)
+    for q in copies:
+        _assert_canonical(q)
+        # a later sum merges into a fresh dict, never into a shared one
+        assert q + p - p == q
+        assert not q - q
+    assert p.coeffs == before
+    assert p == Poly(nvars, a)
+
+
 @settings(max_examples=100, deadline=None)
 @given(poly_pairs())
 def test_equal_polynomials_compare_and_hash_equal(pair):

@@ -36,6 +36,22 @@ def test_test_support_has_no_assert_statements():
     assert not found, found
 
 
+def test_only_the_kernel_reads_the_poly_representation():
+    # a Poly's content and primitive part are kept canonical by poly.py alone
+    root = Path(projquant.__file__).parent
+    kernel = root / "flatmodel" / "poly.py"
+    paths = sorted(root.rglob("*.py"))
+    assert kernel in paths
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in paths
+        if path != kernel
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in {"_terms", "_num", "_den"}
+    ]
+    assert not found, found
+
+
 def test_library_does_not_import_dataclasses():
     # its import (through inspect) costs a CLI call more than most subcommands compute
     root = Path(projquant.__file__).parent
