@@ -6,9 +6,9 @@ component is pinched between rows i and i+1 of the parent.  A component is
 recorded by its removal vector q (boxes removed per parent row); the bounds
 are 0 <= q_i <= d_i - d_{i+1}.
 
-Removal vectors get one slot per parent row up to depth m: parents produced
-by the dualized rank extension genuinely reach depth m, in which case boxes
-may be removed from row m as well.
+Rows past the parent's depth have no slack, so removal vectors get one slot
+per nonzero parent row.  Parents produced by the dualized rank extension
+reach depth m, in which case boxes may be removed from row m as well.
 """
 
 from __future__ import annotations
@@ -55,11 +55,9 @@ class BranchLabel(Record):
         return ",".join(str(r) for r in self.removals) if self.removals else "0"
 
 
-def _row_slacks(parent: IrrepLabel) -> tuple[int, ...]:
-    """Per-row removal capacities d_i - d_{i+1} for i = 1..m."""
-    m = parent.rank - 1
-    d = parent.diagram.padded(m + 1)
-    return tuple(d[i] - d[i + 1] for i in range(m))
+def _row_slacks(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Removal capacities d_i - d_{i+1} of the nonzero rows d, one per row."""
+    return tuple(a - b for a, b in zip(rows, rows[1:] + (0,)))
 
 
 def branch_labels(parent: IrrepLabel) -> list[BranchLabel]:
@@ -69,7 +67,7 @@ def branch_labels(parent: IrrepLabel) -> list[BranchLabel]:
     """
     if parent.rank < 3:
         raise ValueError("restriction target must have rank at least 2")
-    slacks = _row_slacks(parent)
+    slacks = _row_slacks(parent.diagram.rows)
     return [BranchLabel(q) for q in product(*(range(s + 1) for s in slacks))]
 
 
@@ -82,22 +80,15 @@ def component(parent: IrrepLabel, q: BranchLabel) -> IrrepLabel:
     if parent.rank < 3:
         raise ValueError("restriction target must have rank at least 2")
     m = parent.rank - 1
-    slacks = _row_slacks(parent)
     if len(q.removals) > m:
         raise ValueError(f"removal vector {q} too long for rank-{parent.rank} parent")
-    for qi, slack in zip(q.padded(m), slacks):
-        if qi > slack:
-            raise ValueError(
-                f"removal vector {q} violates row bounds {slacks} of {parent}"
-            )
-    return _component(parent, q)
-
-
-def _component(parent: IrrepLabel, q: BranchLabel) -> IrrepLabel:
-    """`component` for a q that `branch_labels(parent)` produced, unchecked."""
-    m = parent.rank - 1
-    rows = tuple(d - r for d, r in zip(parent.diagram.padded(m), q.padded(m)))
-    return canonicalize(rows, m, parent.twist, parent.weight)
+    rows = parent.diagram.rows
+    slacks = _row_slacks(rows)
+    if len(q.removals) > len(rows) or any(qi > s for qi, s in zip(q.removals, slacks)):
+        bounds = slacks + (0,) * (m - len(slacks))
+        raise ValueError(f"removal vector {q} violates row bounds {bounds} of {parent}")
+    child = tuple(d - r for d, r in zip(rows, q.padded(len(rows))))
+    return canonicalize(child, m, parent.twist, parent.weight)
 
 
 def zero_removal_embedding(label: IrrepLabel) -> BranchLabel:
@@ -111,4 +102,4 @@ def max_removal_embedding(label: IrrepLabel) -> BranchLabel:
     The unique vector of maximal |q| (full slack in every row); removing
     those boxes recovers the diagram of `label`.
     """
-    return BranchLabel(_row_slacks(extend_rank_dual(label)))
+    return BranchLabel(_row_slacks(extend_rank_dual(label).diagram.rows))

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+from .branching import _row_slacks
 from .diagrams import IrrepLabel
 from .records import Record
 
@@ -51,10 +52,11 @@ def gap_roots(label: IrrepLabel) -> list[Fraction]:
 
     With rank m, twist n, rows d_i (i from 1), size |d| and den = 2(m+1)|q|:
         r_q = (|q| (2(m+1)(n+1) + 2|d| - |q|) + sum_i q_i (2 d_i - 2i - q_i)) / den
-    q lives on the nonzero rows: those past the depth have no slack.
+    q walks the box of `_row_slacks`, one slot per nonzero row, in the order
+    of `branch_labels(extend_rank(label))`, which `lift_plan` zips on.
     """
     rows = label.diagram.rows
-    slacks = [r - s for r, s in zip(rows, rows[1:] + (0,))]
+    slacks = _row_slacks(rows)
     steps = [2 * r - 2 * i for i, r in enumerate(rows, 1)]
     den = 2 * (label.rank + 1)
     base = den * (label.twist + 1) + 2 * label.size

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from math import log10
 
-from .branching import BranchLabel, _component, branch_labels
+from .branching import BranchLabel, branch_labels, component
 from .casimir import eigenvalue, resonances
 from .diagrams import IrrepLabel, YoungDiagram, canonicalize, dimension, parse_rational
 from .errors import ResonantWeight
@@ -129,7 +129,7 @@ def _cmd_branch(args) -> tuple[list, int]:
     child_rank = parent.rank - 1
     rows = []
     for q in branch_labels(parent):
-        child = _component(parent, q)
+        child = component(parent, q)
         rows.append(
             {
                 "q": _removals_text(q, child_rank),
@@ -185,11 +185,15 @@ def _cmd_casimir_check(args) -> tuple[dict, int]:
 
     label = canonicalize(args.diagram.rows, args.m, args.n, args.delta)
     m, boxes = label.rank, label.diagram.size
-    if (count := m**boxes) > _SECTION_BUDGET:
-        raise ValueError(
-            f"a section of diagram {label.diagram} at m = {m} stores up to "
-            f"{m}^{boxes} = {count} index tuples, over the budget of {_SECTION_BUDGET}"
-        )
+    count = 1  # m^boxes, built factor by factor and left unfinished past the budget
+    for power in range(1, boxes + 1):
+        count *= m
+        if count > _SECTION_BUDGET:
+            bound = "up to" if power == boxes else "at least"
+            raise ValueError(
+                f"a section of diagram {label.diagram} at m = {m} stores {bound} "
+                f"{m}^{power} = {count} index tuples, over the budget of {_SECTION_BUDGET}"
+            )
     monomials = _monomial_count(m, args.max_degree)  # per polynomial, or ValueError
     if (draws := count * monomials) > _DRAW_BUDGET:
         raise ValueError(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable
 from fractions import Fraction
+from math import comb
 
 from .records import Record
 
@@ -219,12 +220,15 @@ def dimension(label: IrrepLabel) -> int:
     """Dimension of the irreducible by the Weyl product formula.
 
     prod_{i<j} (lam_i - lam_j + j - i)/(j - i) over rows padded to the rank;
-    independent of twist and weight.  Pairs of zero rows give 1 and are skipped.
+    independent of twist and weight.  For each of the d nonzero rows i, the zero
+    rows j = d..m-1 telescope to C(lam_i + m-1-i, lam_i) / C(lam_i + d-1-i, lam_i).
     """
-    lam = label.diagram.padded(label.rank)
+    lam, m, d = label.diagram.rows, label.rank, label.diagram.depth
     num = den = 1
-    for i in range(label.diagram.depth):
-        for j in range(i + 1, label.rank):
-            num *= lam[i] - lam[j] + j - i
+    for i, a in enumerate(lam):
+        for j in range(i + 1, d):
+            num *= a - lam[j] + j - i
             den *= j - i
+        num *= comb(a + m - 1 - i, a)
+        den *= comb(a + d - 1 - i, a)
     return num // den

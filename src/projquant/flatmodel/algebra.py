@@ -49,8 +49,10 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 def _matrix(size: int, entries: dict) -> Matrix:
     """size x size matrix with the given {(row, column): value} entries."""
+    zero = Fraction(0)
     return tuple(
-        tuple(Fraction(entries.get((r, c), 0)) for c in range(size)) for r in range(size)
+        tuple(Fraction(entries[r, c]) if (r, c) in entries else zero for c in range(size))
+        for r in range(size)
     )
 
 
@@ -87,7 +89,7 @@ def proj_embedding(h) -> PolyVectorField:
     if trace:
         raise ValueError(f"matrix must be traceless, got trace {trace}")
     y = _chart(m)
-    hy = [poly_sum(m, [y[j].scale(c) for j, e in enumerate(r) if (c := Fraction(e))]) for r in h]
+    hy = [poly_sum(m, [y[j].scale(Fraction(e)) for j, e in enumerate(r) if e]) for r in h]
     return PolyVectorField(tuple(hy[i] - hy[m] * y[i] for i in range(m)))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from ..branching import _component, _row_slacks, branch_labels
+from ..branching import _row_slacks, branch_labels, component
 from ..casimir import eigenvalue, gap_roots
 from ..diagrams import IrrepLabel, extend_rank
 from ..errors import ResonantWeight
@@ -45,9 +45,9 @@ def lift_plan(label: IrrepLabel, delta: Fraction) -> LiftPlan:
     delta = Fraction(delta)
     parent = extend_rank(label)
     labels = branch_labels(parent)
-    nodes = [LiftNode(labels[0], _component(parent, labels[0]), None)]  # q = 0 comes first
+    nodes = [LiftNode(labels[0], component(parent, labels[0]), None)]  # q = 0 comes first
     for q, root in zip(labels[1:], gap_roots(label)):
-        child = _component(parent, q)
+        child = component(parent, q)
         if root == delta:
             alpha = eigenvalue(nodes[0].component)(delta)
             raise ResonantWeight(
@@ -56,9 +56,9 @@ def lift_plan(label: IrrepLabel, delta: Fraction) -> LiftPlan:
                 delta,
             )
         nodes.append(LiftNode(q, child, 2 / (q.norm * (delta - root))))
-    # branch_labels lists the box of row slacks s in lexicographic order, so
-    # q + e_i, for q_i < s_i, sits prod_{j > i} (s_j + 1) places after q
-    slacks = _row_slacks(parent)[: label.diagram.depth]  # none past the depth
+    # branch_labels lists the box of row slacks s, one per nonzero row, in
+    # lexicographic order: q + e_i (q_i < s_i) sits prod_{j > i} (s_j + 1) places after q
+    slacks = _row_slacks(label.diagram.rows)
     strides = [prod(s + 1 for s in slacks[i + 1 :]) for i in range(len(slacks))]
     edges = [
         (q, labels[place + stride])

@@ -449,6 +449,34 @@ def resonances_generic(label: IrrepLabel) -> frozenset[Fraction]:
     return frozenset(values)
 
 
+def padded_row_slacks(parent: IrrepLabel) -> tuple[int, ...]:
+    """Removal capacities d_i - d_{i+1} for i = 1..m, over the parent's rows
+    padded to the child rank m: the reference for the library's slacks of
+    the nonzero rows."""
+    m = parent.rank - 1
+    d = parent.diagram.padded(m + 1)
+    return tuple(d[i] - d[i + 1] for i in range(m))
+
+
+def padded_branch_labels(parent: IrrepLabel) -> list[BranchLabel]:
+    """`branch_labels` walking one slot per row up to the child rank."""
+    slacks = padded_row_slacks(parent)
+    return [BranchLabel(q) for q in product(*(range(s + 1) for s in slacks))]
+
+
+def padded_component(parent: IrrepLabel, q: BranchLabel) -> IrrepLabel:
+    """`component` checking and subtracting q over rows padded to the child rank."""
+    m = parent.rank - 1
+    slacks = padded_row_slacks(parent)
+    if len(q.removals) > m:
+        raise ValueError(f"removal vector {q} too long for rank-{parent.rank} parent")
+    for qi, slack in zip(q.padded(m), slacks):
+        if qi > slack:
+            raise ValueError(f"removal vector {q} violates row bounds {slacks} of {parent}")
+    rows = tuple(d - r for d, r in zip(parent.diagram.padded(m), q.padded(m)))
+    return canonicalize(rows, m, parent.twist, parent.weight)
+
+
 def matrix_mul(a, b):
     n = len(a)
     return tuple(

@@ -19,7 +19,15 @@ from projquant import (
     zero_removal_embedding,
 )
 from projquant.flatmodel import Poly, young_section
-from support import LinearSystem, char_eval, random_canonical_label, random_point, schur_eval
+from support import (
+    LinearSystem,
+    char_eval,
+    padded_branch_labels,
+    padded_component,
+    random_canonical_label,
+    random_point,
+    schur_eval,
+)
 
 
 def test_branch_labels_of_box():
@@ -67,6 +75,65 @@ def test_component_examples():
         component(parent, BranchLabel((2, 0, 0)))
     with pytest.raises(ValueError):
         component(parent, BranchLabel((0, 1, 0)))
+
+
+def test_component_refusals_keep_their_messages():
+    parent = canonicalize((3, 2, 2), 4, 0, 0)
+    cases = [
+        (
+            parent,
+            (2,),
+            "removal vector 2 violates row bounds (1, 0, 2) of D=3,2,2; m=4; n=0; delta=0",
+        ),
+        (parent, (0, 0, 0, 1), "removal vector 0,0,0,1 too long for rank-4 parent"),
+        # both faults at once: the length is refused first
+        (parent, (5, 0, 0, 1), "removal vector 5,0,0,1 too long for rank-4 parent"),
+        # a nonzero entry past the depth takes from a row with no boxes;
+        # the bounds are listed for every row up to the child rank
+        (
+            canonicalize((2,), 4, 1, Fraction(1, 3)),
+            (0, 0, 1),
+            "removal vector 0,0,1 violates row bounds (2, 0, 0) of D=2; m=4; n=1; delta=1/3",
+        ),
+    ]
+    for label, removals, message in cases:
+        with pytest.raises(ValueError) as exc:
+            component(label, BranchLabel(removals))
+        assert str(exc.value) == message
+
+
+def _parents(rng, rank: int):
+    """A random canonical parent of the rank and a depth-(rank - 1) one
+    from the dualized extension of a rank - 1 label."""
+    deep = extend_rank_dual(random_canonical_label(rng, rank - 1, max_size=7))
+    assert deep.rank == rank
+    return [random_canonical_label(rng, rank, max_size=8), deep]
+
+
+def test_branching_on_the_nonzero_rows_matches_the_padded_reference():
+    rng = random.Random(31)
+    full_depth = 0  # parents with depth m
+    for rank in range(3, 10):
+        for _ in range(12):
+            for parent in _parents(rng, rank):
+                full_depth += parent.diagram.depth == rank - 1
+                labels = branch_labels(parent)
+                assert labels == padded_branch_labels(parent)
+                for q in labels:
+                    assert component(parent, q) == padded_component(parent, q)
+                # random vectors up to one slot past the child rank, in and
+                # out of bounds: the same child or the same refusal
+                for _ in range(6):
+                    q = BranchLabel(rng.randint(0, 2) for _ in range(rng.randint(0, rank)))
+                    try:
+                        expected = padded_component(parent, q)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError) as got:
+                            component(parent, q)
+                        assert str(got.value) == str(exc)
+                    else:
+                        assert component(parent, q) == expected
+    assert full_depth
 
 
 def test_component_strips_full_columns():

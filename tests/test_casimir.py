@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projquant import (
+    BranchLabel,
     IrrepLabel,
     YoungDiagram,
     branch_labels,
@@ -262,3 +263,19 @@ def test_eigenvalue_and_gap_roots_equal_the_content_forms(label):
         num = size * (2 * (m + 1) * (n + 1) + 2 * k - size - 1) + 2 * removed
         roots.append(Fraction(num, 2 * (m + 1) * size))
     assert gap_roots(label) == roots
+
+
+def test_gap_roots_are_the_eigenvalue_gaps_in_branch_labels_order():
+    # lift_plan pairs gap_roots(label) with the nonzero q of branch_labels, so
+    # the i-th root must be the gap of the i-th such component, read off eigenvalue
+    rng = random.Random(53)
+    for _ in range(150):
+        label = random_canonical_label(rng, rng.randint(2, 7), max_size=7)
+        parent = extend_rank(label)
+        base = eigenvalue(component(parent, BranchLabel()))
+        roots = []
+        for q in branch_labels(parent):
+            if q.norm:
+                alpha = eigenvalue(component(parent, q))
+                roots.append((base.c0 - alpha.c0) / (alpha.c1 - base.c1))
+        assert gap_roots(label) == roots, label

@@ -80,6 +80,17 @@ def test_branch_cost_does_not_grow_quadratically_with_the_rank(capsys):
     assert [item["dim"] for item in payload] == [999, 1]
 
 
+def test_branch_at_a_rank_of_a_hundred_thousand_answers_fast():
+    # about 5 s as a subprocess while dimension walked every row pair up to the rank
+    start = time.perf_counter()
+    run = run_in_one_gibibyte("branch", "--m", "100000", "--diagram", "1")
+    assert time.perf_counter() - start < 2
+    assert run.returncode == 0 and run.stderr == ""
+    payload = json.loads(run.stdout)
+    assert [item["dim"] for item in payload] == [99999, 1]
+    assert [item["q"] for item in payload] == [",".join("0" * 99999), "1" + ",0" * 99998]
+
+
 def test_quantize_success(capsys):
     code, payload = run_json(
         capsys, "quantize", "--m", "2", "-k", "1", "--lambda", "1/2", "--mu", "1/2"
@@ -253,6 +264,27 @@ def test_casimir_check_over_the_section_budget_is_domain_error(capsys, monkeypat
         "error": "domain error",
         "message": "a section of diagram 3,3,2 at m = 5 stores up to 5^8 = 390625 "
         "index tuples, over the budget of 100000",
+    }
+
+
+def test_casimir_check_stops_the_section_count_at_the_budget(capsys):
+    # m^|D| was formed in full: 2^20000 then failed on the interpreter's digit
+    # limit, naming no input, and 10^(6 * 10^6) took about 4 s to get there
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "casimir-check", "--m", "2", "--diagram", "20000")
+    huge = run_in_one_gibibyte("casimir-check", "--m", "1000000", "--diagram", "1000000")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert payload == {
+        "error": "domain error",
+        "message": "a section of diagram 20000 at m = 2 stores at least 2^17 = 131072 "
+        "index tuples, over the budget of 100000",
+    }
+    assert huge.returncode == 1 and huge.stderr == ""
+    assert json.loads(huge.stdout) == {
+        "error": "domain error",
+        "message": "a section of diagram 1000000 at m = 1000000 stores at least "
+        "1000000^1 = 1000000 index tuples, over the budget of 100000",
     }
 
 
