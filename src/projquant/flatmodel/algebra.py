@@ -42,7 +42,7 @@ from itertools import combinations, groupby
 from math import factorial
 
 from .poly import Poly, poly_combination, poly_sum
-from .sections import PolyVectorField, TensorSection
+from .sections import PolyVectorField, TensorSection, _odd
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -191,11 +191,6 @@ def _character(
     if all(poly == (other if flip else first) for (_, poly), flip in zip(members, flips)):
         return chi, flips
     return None
-
-
-def _odd(index: tuple[int, ...]) -> bool:
-    """Whether a tuple is an odd rearrangement of its sorted order."""
-    return sum(a > b for a, b in combinations(index, 2)) % 2 == 1
 
 
 @lru_cache(maxsize=1024)

@@ -91,7 +91,7 @@ def operator_combination(rank: int, terms: Iterable[tuple[object, DiffOperator]]
 def lie_operator(field_: PolyVectorField, weight) -> DiffOperator:
     """Lie derivative on weight-`weight` densities as a first-order operator."""
     m = field_.rank
-    coeffs = {tuple(int(i == j) for i in range(m)): c for j, c in enumerate(field_.components)}
+    coeffs = {(0,) * j + (1,) + (0,) * (m - 1 - j): c for j, c in enumerate(field_.components) if c}
     coeffs[(0,) * m] = field_.div.scale(weight)
     return DiffOperator(m, coeffs)  # which drops the zero coefficients
 

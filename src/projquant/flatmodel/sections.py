@@ -30,20 +30,18 @@ Index = tuple[int, ...]
 
 
 class PolyVectorField(Record):
-    """Vector field with polynomial components; Jacobian data precomputed.
+    """Vector field with polynomial components; derives only div = sum_i d_i X^i.
 
     Equality, hashing and the repr cover the components alone.
     """
 
-    __slots__ = ("components", "jacobian", "div")
+    __slots__ = ("components", "div")
     _fields = ("components",)
 
     def __init__(self, components: tuple[Poly, ...]) -> None:
-        m = len(components)
-        jac = tuple(tuple(components[i].diff(j) for j in range(m)) for i in range(m))
+        div = poly_sum(len(components), (c.diff(i) for i, c in enumerate(components)))
         object.__setattr__(self, "components", components)
-        object.__setattr__(self, "jacobian", jac)
-        object.__setattr__(self, "div", poly_sum(m, (jac[j][j] for j in range(m))))
+        object.__setattr__(self, "div", div)
 
     @property
     def rank(self) -> int:
@@ -107,7 +105,7 @@ def young_section(
     moves = []  # (slot order, sign) of every permutation within the columns
     for perms in product(*map(permutations, columns)):
         order = [source for _, source in sorted(zip(chain(*columns), chain(*perms)))]
-        moves.append((order, (-1) ** sum(a > b for a, b in combinations(order, 2))))
+        moves.append((order, -1 if _odd(order) else 1))
     parts: dict[Index, list[tuple[int, Poly]]] = defaultdict(list)
     for index, p in data.items():
         if len(index) != degree or not all(0 <= i < rank for i in index):
@@ -119,6 +117,11 @@ def young_section(
                 parts[tuple(spread[o] for o in order)].append((sign, p))
     out = {index: poly_combination(rank, terms) for index, terms in parts.items()}
     return TensorSection(rank, degree, twist, weight, out)
+
+
+def _odd(index: Index) -> bool:
+    """Whether a tuple is an odd rearrangement of its sorted order."""
+    return sum(a > b for a, b in combinations(index, 2)) % 2 == 1
 
 
 def _rearrangements(segment: Index) -> list[Index]:
@@ -239,7 +242,7 @@ def lie_derivative(field: PolyVectorField, section: TensorSection) -> TensorSect
     if field.rank != m:
         raise ValueError("field and section rank differ")
     components = field.components
-    neg_jac = [[-g for g in row] for row in field.jacobian]
+    columns: dict[int, list[tuple[int, Poly]]] = {}  # j -> nonzero (i, -d_j X^i)
     trace_factor = section.weight - section.twist
     weighted_div = field.div.scale(trace_factor)
     parts: dict[Index, list[Poly]] = defaultdict(list)
@@ -252,12 +255,12 @@ def lie_derivative(field: PolyVectorField, section: TensorSection) -> TensorSect
         # slot action scatters from source slot value j to target value i
         for slot in range(section.degree):
             j = index[slot]
-            for i in range(m):
-                g = neg_jac[i][j]
-                if g:
-                    target = list(index)
-                    target[slot] = i
-                    parts[tuple(target)].append(g * p)
+            if j not in columns:
+                columns[j] = [(i, -g) for i, c in enumerate(components) if (g := c.diff(j))]
+            for i, g in columns[j]:
+                target = list(index)
+                target[slot] = i
+                parts[tuple(target)].append(g * p)
     out = {index: poly_sum(m, terms) for index, terms in parts.items()}
     return TensorSection(m, section.degree, section.twist, section.weight, out)
 

@@ -521,15 +521,49 @@ def killing_dual_basis(m: int):
     return tuple(basis), tuple(dual)
 
 
+def jacobian(field: PolyVectorField) -> tuple[tuple[Poly, ...], ...]:
+    """The dense m x m table of d_j X^i, row i and column j."""
+    m = field.rank
+    return tuple(tuple(c.diff(j) for j in range(m)) for c in field.components)
+
+
+def dense_lie_derivative(field: PolyVectorField, section: TensorSection) -> TensorSection:
+    """Lie derivative with the slot action read off the whole negated Jacobian,
+    testing all m targets per slot: the reference for `lie_derivative`, which
+    derives only the columns its index values use."""
+    m = section.rank
+    if field.rank != m:
+        raise ValueError("field and section rank differ")
+    neg_jac = [[-g for g in row] for row in jacobian(field)]
+    weighted_div = field.div.scale(section.weight - section.twist)
+    parts: dict = defaultdict(list)
+    for index, p in section.coeffs.items():
+        own = parts[index]
+        own.extend(c * p.diff(j) for j, c in enumerate(field.components) if c)
+        if weighted_div:
+            own.append(weighted_div * p)
+        for slot in range(section.degree):
+            j = index[slot]
+            for i in range(m):
+                g = neg_jac[i][j]
+                if g:
+                    target = list(index)
+                    target[slot] = i
+                    parts[tuple(target)].append(g * p)
+    out = {index: poly_sum(m, terms) for index, terms in parts.items()}
+    return TensorSection(m, section.degree, section.twist, section.weight, out)
+
+
 def field_bracket(x: PolyVectorField, y: PolyVectorField) -> PolyVectorField:
     """Commutator [x, y] of polynomial vector fields."""
     m = x.rank
+    x_jac, y_jac = jacobian(x), jacobian(y)
     comps = []
     for i in range(m):
         acc = Poly.zero(m)
         for j in range(m):
-            acc = acc + x.components[j] * y.jacobian[i][j]
-            acc = acc - y.components[j] * x.jacobian[i][j]
+            acc = acc + x.components[j] * y_jac[i][j]
+            acc = acc - y.components[j] * x_jac[i][j]
         comps.append(acc)
     return PolyVectorField(tuple(comps))
 
@@ -581,7 +615,7 @@ def _nonzero(polys) -> list[tuple[int, Poly]]:
 
 def _jacobian_entries(field: PolyVectorField) -> list[tuple[int, int, Poly]]:
     """Nonzero (i, j, d_j X^i); the slot action of X sends value j to i by minus it."""
-    return [(i, j, g) for i, row in enumerate(field.jacobian) for j, g in enumerate(row) if g]
+    return [(i, j, g) for i, row in enumerate(jacobian(field)) for j, g in enumerate(row) if g]
 
 
 def _constants(m: int, part: str, parts: dict) -> dict:
@@ -616,11 +650,12 @@ def _scalar_kernel(m: int) -> dict[int, Fraction]:
     """
     parts = defaultdict(list)
     for u, v in casimir_field_pairs(m):
+        v_jac = jacobian(v)
         for a, ua in _nonzero(u.components):
             for b, vb in _nonzero(v.components):
                 parts[(0, tuple(sorted((a, b))))].append(ua * vb)
-                if v.jacobian[b][a]:
-                    parts[(0, (b,))].append(ua * v.jacobian[b][a])
+                if v_jac[b][a]:
+                    parts[(0, (b,))].append(ua * v_jac[b][a])
             if v.div:
                 parts[(1, (a,))].append(v.div * ua)
                 if v.div.diff(a):

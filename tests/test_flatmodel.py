@@ -41,7 +41,9 @@ from projquant.flatmodel import (
     sl_basis,
     young_section,
 )
+from projquant.flatmodel.algebra import _matrix
 from projquant.flatmodel.operators import operator_combination
+from projquant.flatmodel.quantize import quadratic_generator
 from projquant.flatmodel.sections import _exponents
 import support
 from support import (
@@ -539,6 +541,63 @@ def test_lie_derivative_bracket_compatibility():
         )
         rhs = lie_derivative(field_bracket(x, y), section)
         assert lhs == rhs
+
+
+def sparse_field(m, rng):
+    """Random field whose components are zero, constant, or quadratic in a
+    random subset of the variables."""
+    components = []
+    for _ in range(m):
+        kind = rng.choice(("zero", "constant", "subset", "full"))
+        p = random_polynomial(m, 2, rng)
+        if kind == "zero":
+            p = Poly.zero(m)
+        elif kind == "constant":
+            p = Poly.constant(m, rng.randint(1, 3))
+        elif kind == "subset":
+            absent = rng.sample(range(m), rng.randint(1, m - 1))
+            p = Poly(m, {e: c for e, c in p.coeffs.items() if not any(e[v] for v in absent)})
+        components.append(p)
+    return PolyVectorField(tuple(components))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_lie_derivative_equals_the_dense_jacobian_reference(m):
+    rng = random.Random(300 + m)
+    diagrams = list(all_canonical_diagrams(3, 4))
+    assert len(diagrams) == 7  # (), (1), (2), (1,1), (3), (2,1), (1,1,1)
+    for rows in diagrams:
+        degree = sum(rows)
+        for _ in range(4):
+            field = sparse_field(m, rng)
+            twist, weight = rng.randint(-1, 1), Fraction(rng.randint(-3, 3), 2)
+            keys = [tuple(rng.randrange(m) for _ in range(degree)) for _ in range(3)]
+            if degree > 1:  # a repeated index value in every section
+                keys.append((0,) * degree)
+            data = {key: random_polynomial(m, 1, rng) for key in keys}
+            raw = TensorSection(m, degree, twist, weight, data)
+            young = young_section(m, rows, twist, weight, data)
+            for section in (raw, young):
+                assert lie_derivative(field, section) == support.dense_lie_derivative(
+                    field, section
+                )
+
+
+def test_a_field_at_rank_50_costs_one_diff_per_component(monkeypatch):
+    m, calls, diff = 50, [], Poly.diff
+
+    def counted(self, index):
+        calls.append(index)
+        return diff(self, index)
+
+    monkeypatch.setattr(Poly, "diff", counted)
+    for build in (
+        lambda: proj_embedding(_matrix(m + 1, {(3, 7): 1})),
+        lambda: quadratic_generator.__wrapped__(m),
+    ):
+        calls.clear()
+        field = build()
+        assert field.rank == m and len(calls) <= m
 
 
 def test_divergence_examples():
