@@ -27,7 +27,8 @@ distinct indices whose polynomials alternate in sign, which is what a
 one-column tensor holds, every swap returns its negation.  Either way the
 whole orbit is one scaled copy, negated on the odd tuples of an alternating
 orbit, and both take constant time, since they share the stored
-polynomial's terms.
+polynomial's terms.  Below two slots every orbit is one tuple, and the
+operator is one such copy per stored component.
 The derivation of the three parts from the Killing-dual field pairs, with
 the check that every surviving term is a constant, lives with the tests
 (`tests/support.py`), which compare it with the closed form rank by rank.
@@ -41,7 +42,7 @@ from functools import lru_cache
 from itertools import combinations, groupby
 from math import factorial
 
-from .poly import Poly, poly_combination, poly_sum
+from .poly import Poly, _layout, _scaled, poly_combination, poly_sum
 from .sections import PolyVectorField, TensorSection, _odd
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -105,22 +106,28 @@ def classical_casimir(section: TensorSection) -> TensorSection:
     of the k(k-1) ordered pairs of slots.  With t = p/q in lowest terms,
     every factor is an integer over den = 2(m+1)q^2.
 
+    Below two slots there is no slot pair, so C is the scalar diagonal/den:
+    one scaled copy per stored component, constant-time, as `Poly` keeps
+    its content apart from its terms, and nothing is grouped or compared.
+
     A swap keeps the multiset of an index tuple, so C maps each S_k orbit
-    of tuples into itself, and the orbits are applied one at a time.  When
-    all k!/prod(n_v!) tuples of an orbit are stored and follow a character
-    chi of S_k, tuple I holding chi(I) P, each of the k(k-1)/2 swaps of a
-    tuple lands on a stored tuple holding chi(swap) chi(I) P, so
+    of tuples into itself; the tuples are grouped into orbits in one pass
+    and the orbits are applied one at a time.  When all k!/prod(n_v!)
+    tuples of an orbit are stored and follow a character chi of S_k, tuple
+    I holding chi(I) P, each of the k(k-1)/2 swaps of a tuple lands on a
+    stored tuple holding chi(swap) chi(I) P, so
 
         C(s)^I = chi(I) (diagonal + chi(swap) k(k-1)/2 swap)/den P
 
-    at every tuple of the orbit: one scaled copy and its negation, both
-    constant-time, as `Poly` keeps its content apart from its terms.  The
-    character is read from the stored polynomials: trivial when they all
-    compare equal (a symmetric tensor), the sign when the k indices are
-    distinct and the polynomials alternate (a one-column tensor).  Any
-    other orbit (a tuple missing, signs on a repeated index, or any other
-    polynomial) pays one scaled copy and k(k-1)/2 swaps per component,
-    summed over den.  Both paths give the same reduced polynomials.  The
+    at every tuple of the orbit: the orbit is scaled once, and its tuples
+    share that image, or, under the sign, the image and its one negation.
+    The character is read from the stored polynomials: trivial when they
+    all compare equal (a symmetric tensor), the sign when the k indices are
+    distinct and the polynomials alternate (a one-column tensor), with each
+    tuple's parity read once.  Any other orbit (a tuple missing, signs on a
+    repeated index, or any other polynomial) pays one scaled copy and
+    k(k-1)/2 swaps per component, summed over den.  All paths give the same
+    reduced polynomials.  The
     derivation from the Killing-dual field pairs, with its check that every
     term is a constant, is in tests/support.py; the tests compare it with
     this form at m = 2..8, and this operator with the sum of iterated Lie
@@ -133,22 +140,35 @@ def classical_casimir(section: TensorSection) -> TensorSection:
     p = section.weight.numerator - section.twist * q
     den = 2 * (m + 1) * q * q
     diagonal = m * (m + 1) * p * (p - q) + 2 * (m + 1) * k * q * (q - p) + k * (k - 1) * q * q
+    layout = _layout(m)
+    require = layout.require
+    out: dict[tuple[int, ...], Poly] = {}
+    if k < 2:  # no slot pair: every orbit is one tuple, and C is diagonal/den
+        for index, poly in section.coeffs.items():
+            require(poly)
+            out[index] = _scaled(layout, diagonal, poly, den)
+        return TensorSection(m, k, section.twist, section.weight, out)
     swap = 2 * q * q
     slot_pairs = list(combinations(range(k), 2))
     swaps = swap * len(slot_pairs)  # each onto a tuple holding chi(swap) times this one's
     orbits: dict[tuple[int, ...], list[tuple[tuple[int, ...], Poly]]] = defaultdict(list)
-    for index, poly in section.coeffs.items():
-        orbits[tuple(sorted(index))].append((index, poly))
-    out: dict[tuple[int, ...], Poly] = {}
+    for item in section.coeffs.items():
+        orbits[tuple(sorted(item[0]))].append(item)
     parts: dict[tuple[int, ...], list[tuple[int, Poly]]] = defaultdict(list)
     for orbit, members in orbits.items():
         rule = _character(orbit, members)
-        if rule:
+        if rule is not None:
             chi, flips = rule
-            image = poly_combination(m, [(diagonal + chi * swaps, members[0][1])], den)
-            flipped = -image if chi < 0 else image
-            for (index, _), flip in zip(members, flips):
-                out[index] = flipped if flip else image
+            first = members[0][1]
+            require(first)  # the other members compared equal to first or -first
+            image = _scaled(layout, diagonal + chi * swaps, first, den)
+            if flips is None:
+                for index, _ in members:
+                    out[index] = image
+            else:
+                flipped = -image
+                for (index, _), flip in zip(members, flips):
+                    out[index] = flipped if flip else image
             continue
         for index, poly in members:
             own = diagonal
@@ -167,30 +187,36 @@ def classical_casimir(section: TensorSection) -> TensorSection:
 
 def _character(
     orbit: tuple[int, ...], members: list[tuple[tuple[int, ...], Poly]]
-) -> tuple[int, list[bool]] | None:
+) -> tuple[int, list[bool] | None] | None:
     """(chi, flips) when every tuple of the orbit is stored and the tuples
-    follow the character chi of S_k, read from the stored polynomials;
-    flips marks the tuples whose chi differs from the first tuple's.
+    follow the character chi of S_k, read from the stored polynomials.
 
-    chi = 1 when every tuple holds the first polynomial P.  chi = -1 when
-    the k indices are distinct (k! tuples) and tuple I holds sign(I) P up
-    to the first tuple's sign; on a repeated index the swap of the equal
-    slots fixes the tuple, so the sign is no character there.  None when
-    a tuple is missing or the polynomials follow neither.
+    chi = 1 when every tuple holds the first polynomial P; flips is then
+    None, since every tuple takes one image.  chi = -1 when the k indices
+    are distinct (k! tuples) and tuple I holds sign(I) P up to the first
+    tuple's sign; flips marks the tuples of the other parity, each parity
+    read once.  On a repeated index the swap of the equal slots fixes the
+    tuple, so the sign is no character there.  None when a tuple is
+    missing or the polynomials follow neither.
     """
-    if len(members) != _orbit_size(orbit):
+    size = len(members)
+    if size != _orbit_size(orbit):
         return None
     index, first = members[0]
-    if len(members) == 1 or members[1][1] == first:
-        chi, flips, other = 1, [False] * len(members), first
-    elif len(members) == factorial(len(orbit)):
-        odd = _odd(index)
-        chi, flips, other = -1, [_odd(i) != odd for i, _ in members], -first
-    else:
+    if size == 1 or members[1][1] == first:
+        for _, poly in members[2:]:
+            if poly != first:
+                return None
+        return 1, None
+    if size != factorial(len(orbit)):
         return None
-    if all(poly == (other if flip else first) for (_, poly), flip in zip(members, flips)):
-        return chi, flips
-    return None
+    odd, negated, flips = _odd(index), -first, [False]
+    for index, poly in members[1:]:
+        flip = _odd(index) != odd
+        if poly != (negated if flip else first):
+            return None
+        flips.append(flip)
+    return -1, flips
 
 
 @lru_cache(maxsize=1024)

@@ -3,7 +3,9 @@
 A record lists its fields in ``__slots__``; ``_fields`` names the fields
 that construction, equality, hashing and the repr cover, and defaults to
 every slot.  The base constructor stores the fields in ``_fields`` order,
-by position or by name.  A record that validates, derives or drops
+by position or by name, through each slot's own ``__set__``, kept per
+class: the frozen ``__setattr__`` does not intercept it, and it skips the
+name lookup of ``object.__setattr__``.  A record that validates, derives or drops
 entries writes its own constructor, which stores the fields with
 ``object.__setattr__`` or hands them to the base one.  Every record is
 frozen; one holding a dict is unhashable through it.  The
@@ -33,17 +35,22 @@ class Record:
         # one C-level getter per class, not a getattr loop per call; records
         # hashed in hot loops still write __eq__/__hash__ out, which is faster
         cls._key = attrgetter(*cls._fields)
+        cls._setters = tuple(getattr(cls, field).__set__ for field in cls._fields)
 
     def __init__(self, *values, **named):
-        name, fields = self.__class__.__qualname__, self._fields
-        if len(values) > len(fields):
-            raise TypeError(f"{name} takes {len(fields)} fields, got {len(values)}")
-        for field, value in zip(fields, values):
-            object.__setattr__(self, field, value)
-        for field in fields[len(values) :]:
+        setters = self._setters
+        if len(values) > len(setters):
+            name = self.__class__.__qualname__
+            raise TypeError(f"{name} takes {len(setters)} fields, got {len(values)}")
+        for setter, value in zip(setters, values):
+            setter(self, value)
+        if len(values) == len(setters) and not named:
+            return
+        name, given = self.__class__.__qualname__, len(values)
+        for field, setter in zip(self._fields[given:], setters[given:]):
             if field not in named:
                 raise TypeError(f"{name} is missing field {field!r}")
-            object.__setattr__(self, field, named.pop(field))
+            setter(self, named.pop(field))
         if named:  # a field given twice, or no field at all
             raise TypeError(f"{name} got repeated or unknown field {next(iter(named))!r}")
 

@@ -41,6 +41,7 @@ from projquant.flatmodel import (
     sl_basis,
     young_section,
 )
+from projquant.flatmodel import algebra
 from projquant.flatmodel.algebra import _matrix
 from projquant.flatmodel.operators import operator_combination
 from projquant.flatmodel.quantize import quadratic_generator
@@ -293,6 +294,41 @@ def test_casimir_orbit_rule_equals_the_lie_derivative_loop(section):
     # once; every other orbit, a changed, flipped or missing member or signs
     # on a repeated index included, is summed swap by swap
     assert classical_casimir(section) == direct_casimir(section)
+
+
+def test_casimir_below_two_slots_reads_no_orbit(monkeypatch):
+    # with no slot pair every orbit is one tuple and C is one scalar, so the
+    # operator answers without reading a character off the polynomials
+    def refuse(orbit, members):
+        raise AssertionError(f"character read for the orbit {orbit}")
+
+    monkeypatch.setattr(algebra, "_character", refuse)
+    rng = random.Random(3100)
+    for m in (2, 3, 4):
+        for rows in ((), (1,)):
+            # weight 1 at twist 0 puts t = 1, where the scalar section's factor vanishes
+            for twist, weight in ((0, Fraction(1, 3)), (1, Fraction(-5, 2)), (-1, 2), (0, 1)):
+                full = random_section(m, rows, twist, weight, 2, rng)
+                sparse = TensorSection(m, len(rows), twist, weight, dict([min(full.coeffs.items())]))
+                for section in (full, sparse):
+                    assert classical_casimir(section) == direct_casimir(section)
+
+
+def test_casimir_scales_a_complete_orbit_once():
+    # a symmetric orbit shares one image; a one-column orbit holds the image
+    # and its negation, so the tuples of one orbit hold at most two objects
+    rng = random.Random(3101)
+    for m in (2, 3, 4):
+        for rows, objects in (((2,), 1), ((1, 1), 2)):
+            data = {key: random_polynomial(m, 2, rng) for key in combinations(range(m), 2)}
+            section = young_section(m, rows, 1, Fraction(-2, 3), data)
+            image = classical_casimir(section)
+            assert image == direct_casimir(section)
+            orbits = {}
+            for index, poly in image.coeffs.items():
+                orbits.setdefault(tuple(sorted(index)), {})[id(poly)] = poly
+            assert len(orbits) == len(data)
+            assert all(len(held) == objects for held in orbits.values()), rows
 
 
 # sha256 over every `classical_casimir` output of the sections below, taken
