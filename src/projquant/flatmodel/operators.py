@@ -54,25 +54,26 @@ def derivative_of_poly(p: Poly, beta: MultiIndex) -> Poly:
 def compose(outer: DiffOperator, inner: DiffOperator) -> DiffOperator:
     """Operator composition, expanding d^alpha (b g) by the Leibniz rule.
 
-    Only the d^tau b with |tau| <= deg b can be nonzero, so tau ranges over
-    those, and its binomial factor is formed once d^tau b is known nonzero.
+    tau walks only the nonzero entries of alpha, with |tau| <= deg b since
+    d^tau b vanishes past it, and gamma is beta moved at those entries.
     """
     rank = outer.rank
     parts: dict[MultiIndex, list[Poly]] = defaultdict(list)
     for alpha, pa in outer.coeffs.items():
+        support = [(i, a) for i, a in enumerate(alpha) if a]
         for beta, pb in inner.coeffs.items():
             degree = pb.total_degree()
-            for tau in product(*(range((a if a < degree else degree) + 1) for a in alpha)):
+            for tau in product(*(range((a if a < degree else degree) + 1) for _, a in support)):
                 if sum(tau) > degree:
                     continue
-                q = derivative_of_poly(pb, tau)
-                if not q:
-                    continue
-                factor = 1
-                for a, t in zip(alpha, tau):
+                q, factor, gamma = pb, 1, list(beta)
+                for (i, a), t in zip(support, tau):
+                    for _ in range(t):
+                        q = q.diff(i)
                     factor *= comb(a, t)
-                gamma = tuple(a - t + b for a, t, b in zip(alpha, tau, beta))
-                parts[gamma].append(pa * q.scale(factor))
+                    gamma[i] += a - t
+                if q:
+                    parts[tuple(gamma)].append(pa * q.scale(factor))
     return DiffOperator(rank, {gamma: poly_sum(rank, terms) for gamma, terms in parts.items()})
 
 

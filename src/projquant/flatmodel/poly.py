@@ -249,7 +249,7 @@ class Poly:
             self._layout is other._layout
             and self._num == other._num
             and self._den == other._den
-            and self._terms == other._terms
+            and (self._terms is other._terms or self._terms == other._terms)
         )
 
     def __hash__(self):

@@ -69,11 +69,12 @@ def quantization_operator(symbol: TensorSection, coefficients) -> DiffOperator:
 
 # (m + 4)(k + 4) at most this.  On a 2-vCPU x86_64 machine with Python 3.11
 # the calls along its edge, (2, 262), (6, 150), (12, 96), (36, 36) and
-# (316, 1), take 0.29, 0.47, 0.47, 0.26 and 0.09 s in a fresh process,
-# nearly all of it in the residual check: at large k in the two divergence
-# towers and contraction sums of Q(P) and Q(L_X P), at large m in the
-# guard's two `compose` calls (0.15 of 0.23 s under cProfile at (316, 1)).
-# Past it, (1000, 1) takes 0.83 s and (2, 400) 0.92 s
+# (316, 1), take 0.34, 0.51, 0.50, 0.26 and 0.05 s in a fresh process; at
+# large k nearly all of it is the residual check's two divergence towers and
+# contraction sums of Q(P) and Q(L_X P), at large m the quadratic field's
+# `proj_embedding` (0.07 of 0.13 s under cProfile at (316, 1), against 0.02 s
+# in the guard's two `compose` calls).  Past it, (1000, 1) takes 0.35 s and
+# (2, 400) 0.93 s
 _QUANTIZE_BUDGET = 1600
 
 

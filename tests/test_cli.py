@@ -257,7 +257,7 @@ def test_casimir_check_over_the_section_budget_is_domain_error(capsys, monkeypat
     def no_draw(*args):
         raise AssertionError("drew a section")
 
-    monkeypatch.setattr(sections, "random_section", no_draw)
+    monkeypatch.setattr(sections, "random_polynomial", no_draw)
     code, payload = run_json(capsys, "casimir-check", "--m", "5", "--diagram", "3,3,2")
     assert code == 1
     assert payload == {

@@ -6,6 +6,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -41,9 +42,9 @@ from projquant.flatmodel import (
     sl_basis,
     young_section,
 )
-from projquant.flatmodel import algebra
+from projquant.flatmodel import algebra, operators, sections
 from projquant.flatmodel.algebra import _matrix
-from projquant.flatmodel.operators import operator_combination
+from projquant.flatmodel.operators import lie_operator, operator_combination
 from projquant.flatmodel.quantize import quadratic_generator
 from projquant.flatmodel.sections import _exponents
 import support
@@ -397,8 +398,10 @@ def test_operator_combination_equals_the_sum_by_beta(case):
 def operator_pairs(draw):
     """Two operators of one rank whose derivative orders often pass the
     degrees of the inner operator's coefficients."""
-    m = draw(st.integers(2, 3))
-    index = st.tuples(*[st.integers(0, 3)] * m).filter(lambda b: sum(b) <= 3)
+    m = draw(st.integers(2, 5))
+    # up to three derivatives spread over the m directions, most entries zero
+    slots = st.lists(st.integers(0, m - 1), max_size=3)
+    index = slots.map(lambda slot: tuple(slot.count(i) for i in range(m)))
     exps = st.tuples(*[st.integers(0, 2)] * m)
     poly = st.dictionaries(exps, st.fractions(-3, 3, max_denominator=4), max_size=3)
     op = st.dictionaries(index, poly.map(lambda c: Poly(m, c)), max_size=3)
@@ -416,6 +419,24 @@ def test_composition_acts_as_the_two_operators_in_turn(case):
     for exps in _exponents(m, order):
         f = Poly.monomial(m, exps)
         assert composed.apply(f) == outer.apply(inner.apply(f))
+
+
+def test_compose_forms_two_binomials_per_pair_of_first_order_terms(monkeypatch):
+    # tau walks the one nonzero entry of each alpha, not all m of them
+    calls = 0
+
+    def counted(n, k):
+        nonlocal calls
+        calls += 1
+        return comb(n, k)
+
+    monkeypatch.setattr(operators, "comb", counted)
+    field = quadratic_generator(60)
+    outer, inner = lie_operator(field, Fraction(1, 3)), lie_operator(field, Fraction(2, 7))
+    composed = compose(outer, inner)
+    assert calls <= 2 * len(outer.coeffs) * len(inner.coeffs)
+    f = Poly(60, {(1,) * 3 + (0,) * 56 + (2,): 1, (0,) * 59 + (1,): 5})
+    assert composed.apply(f) == outer.apply(inner.apply(f))
 
 
 def test_casimir_rejects_rank_below_two():
@@ -745,6 +766,50 @@ def test_random_section_rejects_a_diagram_deeper_than_the_rank():
     for rank, rows in ((2, (1, 1, 1)), (3, (2, 1, 1, 1)), (1, (1, 1))):
         with pytest.raises(ValueError, match="no filling"):
             random_section(rank, rows, 0, Fraction(0), 2, rng)
+
+
+def test_random_section_refuses_each_budget_and_a_negative_degree_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew a polynomial")
+
+    monkeypatch.setattr(sections, "random_polynomial", no_draw)
+    rng = random.Random(0)
+    for rank, rows, max_degree, message in (
+        (5, (3, 3, 2), 3, "a section of diagram 3,3,2 at m = 5 stores up to 5^8 = 390625 "
+         "index tuples, over the budget of 100000"),
+        (2, (20000,), 3, "a section of diagram 20000 at m = 2 stores at least 2^17 = 131072 "
+         "index tuples, over the budget of 100000"),
+        (2, (1,), 100000, "5000150001 monomials of degree <= 100000 in 2 variables "
+         "exceed the budget of 1000000"),
+        (600, (1,), 2, "a section of diagram 1 at m = 600 draws up to 600 x 180901 = "
+         "108540600 coefficients of degree <= 2, over the budget of 10000000"),
+        (2, (1,), -1, "max_degree -1 leaves only the zero section"),
+    ):  # fmt: skip
+        with pytest.raises(ValueError) as refused:
+            random_section(rank, rows, 0, Fraction(0), max_degree, rng)
+        assert str(refused.value) == message
+
+
+def test_random_section_draws_again_while_the_section_is_zero():
+    class ZerosFirst:
+        """Draws `zeros` zero coefficients, then those of a seeded generator."""
+
+        def __init__(self, zeros: int, seed: int) -> None:
+            self.zeros, self.rng = zeros, random.Random(seed)
+
+        def randint(self, low: int, high: int) -> int:
+            if self.zeros:
+                self.zeros -= 1
+                return 0
+            return self.rng.randint(low, high)
+
+    # zeros: fillings times monomials, the draws of one whole section
+    for rank, rows, max_degree, zeros in ((2, (1,), 1, 2 * 3), (3, (2, 1), 0, 8 * 1)):
+        section = random_section(rank, rows, 0, Fraction(1, 3), max_degree, ZerosFirst(zeros, 5))
+        assert section
+        assert section == random_section(
+            rank, rows, 0, Fraction(1, 3), max_degree, random.Random(5)
+        )
 
 
 def test_random_section_draws_what_the_row_and_column_constructors_drew():
