@@ -33,15 +33,6 @@ class BranchLabel(Record):
             end -= 1
         object.__setattr__(self, "removals", removals[:end])  # the tuple itself at full length
 
-    # lift plans key their scalars by removal vector; inline as for labels
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.removals == other.removals
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.removals)
-
     @property
     def norm(self) -> int:
         return sum(self.removals)

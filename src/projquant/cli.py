@@ -313,14 +313,8 @@ def _render_table(payload, indent: str = "") -> list[str]:
                     indent
                     + "  ".join(_scalar_text(item.get(k)).ljust(widths[k]) for k in keys)
                 )
-        else:
-            for item in payload:
-                if _is_scalar_list(item) or not isinstance(item, (dict, list)):
-                    lines.append(f"{indent}{_scalar_text(item)}")
-                else:
-                    lines.extend(_render_table(item, indent))
-    else:
-        lines.append(f"{indent}{_scalar_text(payload)}")
+        else:  # scalars and scalar lists: no handler nests further
+            lines.extend(f"{indent}{_scalar_text(item)}" for item in payload)
     return lines
 
 

@@ -61,16 +61,6 @@ class YoungDiagram(Record):
             rows = rows[: rows.index(0)]
         object.__setattr__(self, "rows", rows)
 
-    # labels are dictionary keys in every decomposition, and comparing the
-    # fields inline costs half the generic record key
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.rows)
-
     @property
     def size(self) -> int:
         return sum(self.rows)
@@ -122,16 +112,6 @@ class IrrepLabel(Record):
         object.__setattr__(
             self, "weight", weight if weight.__class__ is Fraction else Fraction(weight)
         )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.diagram, self.rank, self.twist, self.weight) == (
-                other.diagram, other.rank, other.twist, other.weight
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.diagram, self.rank, self.twist, self.weight))
 
     @property
     def size(self) -> int:

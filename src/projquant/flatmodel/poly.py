@@ -4,7 +4,8 @@ A polynomial stores its content num/den apart from its primitive part: a
 dict of integer coefficients whose gcd is 1 and whose coefficient at the
 largest monomial key is positive, with gcd(num, den) = 1 and den > 0.  The
 zero polynomial is no terms over 0/1.  Equal polynomials therefore have
-equal representations and compare equal.
+equal representations and compare equal.  `Poly(nvars, coeffs)` returns the
+canonical object itself, so `Poly(n)` is `Poly.zero(n)`.
 
 A scaled copy (`scale`, negation, a one-term combination) changes only
 the content, so it costs O(1) and shares the original's terms dict, which
@@ -100,7 +101,7 @@ _layout = lru_cache(maxsize=None)(_Layout)
 
 def _make(layout: _Layout, terms: dict[int, int], num: int, den: int) -> "Poly":
     """Poly of num/den times terms, which must already be canonical."""
-    result = Poly.__new__(Poly)
+    result = object.__new__(Poly)
     result._layout = layout
     result._terms = terms
     result._num = num
@@ -160,14 +161,11 @@ def _combine(layout: _Layout, terms: list[tuple[int, "Poly"]], den: int = 1) -> 
         if p._den != common:
             common = lcm(common, p._den)
     out: dict[int, int] = {}
+    get = out.get
     for c, p in terms:
         f = c * p._num * (common // p._den)
         if not f:
             continue
-        if not out:
-            out = dict(p._terms) if f == 1 else {k: v * f for k, v in p._terms.items()}
-            continue
-        get = out.get
         for k, v in p._terms.items():
             s = get(k, 0) + v * f
             if s:
@@ -180,7 +178,7 @@ def _combine(layout: _Layout, terms: list[tuple[int, "Poly"]], den: int = 1) -> 
 class Poly:
     __slots__ = ("_layout", "_terms", "_num", "_den")
 
-    def __init__(self, nvars: int, coeffs: Mapping[Monomial, object] | None = None):
+    def __new__(cls, nvars: int, coeffs: Mapping[Monomial, object] | None = None) -> "Poly":
         layout = _layout(nvars)
         values = {}
         den = 1
@@ -193,11 +191,7 @@ class Poly:
                 values[layout.pack(exps)] = value
                 den = lcm(den, value.denominator)
         terms = {k: v.numerator * (den // v.denominator) for k, v in values.items()}
-        canonical = _poly(layout, terms, 1, den)
-        self._layout = layout
-        self._terms = canonical._terms
-        self._num = canonical._num
-        self._den = canonical._den
+        return _poly(layout, terms, 1, den)
 
     @property
     def nvars(self) -> int:

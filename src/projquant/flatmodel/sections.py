@@ -183,12 +183,14 @@ _DRAW_BUDGET = 10**7
 
 
 def _monomial_count(rank: int, max_degree: int) -> int:
-    """C(max_degree + rank, rank), the monomials of degree <= max_degree >= 0.
+    """C(max_degree + rank, rank), the monomials of degree <= max_degree; 0 below degree 0.
 
     The binomial is built factor by factor, C(high + i, i) for i up to the
     smaller argument, and ValueError is raised as soon as it passes
     _MONOMIAL_BUDGET, so no huge binomial is ever formed.
     """
+    if max_degree < 0:
+        return 0
     low, high = sorted((rank, max_degree))
     count = 1
     for i in range(1, low + 1):
@@ -205,8 +207,11 @@ def _monomial_count(rank: int, max_degree: int) -> int:
 def random_polynomial(rank: int, max_degree: int, rng) -> Poly:
     """Coefficients drawn from -3..3 for every monomial of degree <= max_degree.
 
-    More than _MONOMIAL_BUDGET monomials raises ValueError before any is listed.
+    A negative max_degree, or more than _MONOMIAL_BUDGET monomials, raises
+    ValueError before any is listed.
     """
+    if max_degree < 0:  # the draw would be zero
+        raise ValueError(f"max_degree {max_degree} leaves only the zero polynomial")
     _monomial_count(rank, max_degree)
     keys = _monomial_keys(rank, max_degree)
     return _poly(_layout(rank), {key: c for key in keys if (c := rng.randint(-3, 3))})

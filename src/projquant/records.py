@@ -32,8 +32,8 @@ class Record:
         if "_fields" not in cls.__dict__:
             # the fields inherited, then the slots this class adds
             cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
-        # one C-level getter per class, not a getattr loop per call; records
-        # hashed in hot loops still write __eq__/__hash__ out, which is faster
+        # one C-level getter per class, not a getattr loop per call; with one
+        # field it returns the field itself, so the hash is the field's hash
         cls._key = attrgetter(*cls._fields)
         cls._setters = tuple(getattr(cls, field).__set__ for field in cls._fields)
 

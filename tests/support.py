@@ -572,6 +572,17 @@ def max_coefficient_degree(section: TensorSection) -> int:
     return max((p.total_degree() for p in section.coeffs.values()), default=-1)
 
 
+def section_product(a: TensorSection, b: TensorSection) -> TensorSection:
+    """a (x) b: index tuples concatenated and coefficients multiplied; the
+    slot counts, twists and weights add."""
+    if a.rank != b.rank:
+        raise ValueError(f"sections of rank {a.rank} and {b.rank} do not multiply")
+    coeffs = {i + j: p * q for i, p in a.coeffs.items() for j, q in b.coeffs.items()}
+    return TensorSection(
+        a.rank, a.degree + b.degree, a.twist + b.twist, a.weight + b.weight, coeffs
+    )
+
+
 @lru_cache(maxsize=None)
 def casimir_field_pairs(m: int) -> tuple[tuple[PolyVectorField, PolyVectorField], ...]:
     """Embedded Killing-dual pairs (u, u+) of sl(m+1)."""

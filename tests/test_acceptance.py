@@ -8,6 +8,9 @@ import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from math import prod
 
 from projquant import (
     EigenvaluePoly,
@@ -17,12 +20,14 @@ from projquant import (
     canonicalize,
     component,
     dimension,
+    dual,
     eigenvalue,
     extend_rank_dual,
     is_resonant,
     littlewood_richardson,
     max_removal_embedding,
     resonances,
+    symbol_rep,
 )
 from projquant.flatmodel import (
     Poly,
@@ -43,6 +48,7 @@ from support import (
     random_point,
     resonances_generic,
     schur_eval,
+    section_product,
 )
 
 
@@ -214,3 +220,67 @@ def test_highest_weight_check_tells_the_shapes_apart():
         ):
             assert image != section.scale(wrong(delta))
         assert image == section.scale(poly(delta))
+
+
+
+def annihilated_exactly_by(section, alphas) -> bool:
+    """Whether the product of (C - alpha) over alphas kills the section while
+    the product with any one alpha left out does not; C = classical_casimir."""
+
+    def step(s, alpha):
+        return classical_casimir(s) + s.scale(-alpha)
+
+    images = [section]  # images[i]: the factors of alphas[:i] applied
+    for alpha in alphas:
+        images.append(step(images[-1], alpha))
+    return not images[-1] and all(
+        reduce(step, alphas[i + 1 :], images[i]) for i in reversed(range(len(alphas)))
+    )
+
+
+def symbol_space_cases():
+    """(s, A) over criterion 16's grid: s the product of random sections of
+    S^k, V1* and V2, and A the sorted distinct eigenvalues of the pieces of
+    symbol_rep(v1, v2, k).  Products of more than 500 stored tuples are
+    skipped.  The S^k and V1* factors have degree-1 coefficients, so that
+    no piece of s vanishes by a chance cancellation of small constants."""
+    rng = random.Random(16)
+    lam, mu = Fraction(1, 5), Fraction(3, 4)
+    for m, v1_shapes, v2_shapes in (
+        (2, ((), (1,), (2,)), ((), (1,), (2,))),
+        (3, ((), (1,), (1, 1)), ((), (1,), (2, 1))),
+    ):
+        for rows1, rows2, k in product(v1_shapes, v2_shapes, range(3)):
+            v1, v2 = canonicalize(rows1, m, 0, lam), canonicalize(rows2, m, -1, mu)
+            v1_dual = dual(v1)
+            factors = (
+                random_section(m, (k,), 0, 0, 1, rng),
+                random_section(m, v1_dual.diagram.rows, v1_dual.twist, v1_dual.weight, 1, rng),
+                random_section(m, v2.diagram.rows, v2.twist, v2.weight, 0, rng),
+            )
+            if prod(len(f.coeffs) for f in factors) > 500:
+                continue
+            s = reduce(section_product, factors)
+            terms = symbol_rep(v1, v2, k).terms
+            yield s, sorted({eigenvalue(term)(term.weight) for term, _ in terms})
+
+
+def test_criterion_16_casimir_spectrum_on_symbol_spaces():
+    with criterion(16, "symbol_rep's eigenvalues are the Casimir spectrum of S^k (x) V1* (x) V2"):
+        # the product of random sections of S^k, V1* and V2 has a part in
+        # every piece, so the distinct eigenvalues of the pieces are the
+        # least set whose (C - alpha) factors kill it
+        cases = list(symbol_space_cases())
+        for s, alphas in cases:
+            assert annihilated_exactly_by(s, alphas), (s, alphas)
+        assert len(cases) == 53
+
+
+def test_symbol_space_check_rejects_a_dropped_an_added_or_a_shifted_eigenvalue():
+    for s, alphas in symbol_space_cases():
+        for wrong in (
+            alphas[1:],
+            alphas + [alphas[-1] + 1],
+            alphas[:-1] + [alphas[-1] + Fraction(1, 7)],
+        ):
+            assert not annihilated_exactly_by(s, wrong), (s, alphas, wrong)

@@ -46,7 +46,7 @@ from projquant.flatmodel import algebra, operators, sections
 from projquant.flatmodel.algebra import _matrix
 from projquant.flatmodel.operators import lie_operator, operator_combination
 from projquant.flatmodel.quantize import quadratic_generator
-from projquant.flatmodel.sections import _exponents
+from projquant.flatmodel.sections import _exponents, _monomial_count
 import support
 from support import (
     all_canonical_diagrams,
@@ -531,6 +531,25 @@ def test_exponents_enumerate_in_the_filtered_product_order():
             assert _exponents(rank, d) == want
     # one loop, not one frame per variable
     assert _exponents(5000, 1)[-1] == (1,) + (0,) * 4999
+
+
+def test_monomial_count_is_the_number_of_exponents():
+    for rank in range(5):
+        for d in range(-3, 5):
+            assert _monomial_count(rank, d) == len(_exponents(rank, d)), (rank, d)
+
+
+def test_random_polynomial_refuses_a_negative_degree():
+    for rank in range(5):
+        for d in range(-3, 5):
+            rng = random.Random(0)
+            if d >= 0:
+                assert random_polynomial(rank, d, rng).total_degree() <= d
+                continue
+            with pytest.raises(ValueError) as refused:
+                random_polynomial(rank, d, rng)
+            assert str(refused.value) == f"max_degree {d} leaves only the zero polynomial"
+            assert rng.random() == random.Random(0).random()  # refused before any draw
 
 
 def test_random_polynomial_over_the_monomial_budget_raises_before_listing():

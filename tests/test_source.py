@@ -66,6 +66,31 @@ def test_library_does_not_import_dataclasses():
     assert not found, found
 
 
+def test_records_compare_and_hash_only_through_record_and_poly_has_no_init():
+    # one equality and one hash for every record, and Poly(...) returns the
+    # canonical object `_poly` builds instead of copying it into a second one
+    from projquant.flatmodel.poly import Poly
+    from projquant.records import Record
+
+    records = {
+        cls
+        for module in map(importlib.import_module, _library_modules())
+        for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, Record) and cls is not Record
+    }
+    assert {"YoungDiagram", "IrrepLabel", "BranchLabel"} <= {cls.__name__ for cls in records}
+    found = [cls.__name__ for cls in records if {"__eq__", "__hash__"} & cls.__dict__.keys()]
+    assert not found, found
+    assert "__init__" not in Poly.__dict__
+    assert Poly(3) is Poly.zero(3)
+
+
+def _library_modules() -> list[str]:
+    root = Path(projquant.__file__).parent
+    parts = (path.relative_to(root.parent).with_suffix("").parts for path in root.rglob("*.py"))
+    return sorted(".".join(p[:-1] if p[-1] == "__init__" else p) for p in parts)
+
+
 PUBLIC_NAMES = {
     "projquant": """BranchLabel Decomposition EigenvaluePoly IrrepLabel ResonantWeight YoungDiagram
         branch_labels canonicalize component dimension dual eigenvalue extend_rank
