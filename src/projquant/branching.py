@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .diagrams import IrrepLabel, canonicalize, extend_rank_dual
+from .diagrams import IrrepLabel, canonicalize
 from .records import Record
 
 
@@ -91,6 +91,7 @@ def max_removal_embedding(label: IrrepLabel) -> BranchLabel:
     """Removal vector of the copy of `label` inside its dualized rank extension.
 
     The unique vector of maximal |q| (full slack in every row); removing
-    those boxes recovers the diagram of `label`.
+    those boxes recovers the diagram of `label`.  The extension's first two
+    rows are equal, so its slacks are 0 followed by the slacks of `label`.
     """
-    return BranchLabel(_row_slacks(extend_rank_dual(label).diagram.rows))
+    return BranchLabel((0,) + _row_slacks(label.diagram.rows))

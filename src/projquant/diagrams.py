@@ -193,7 +193,8 @@ def extend_rank_dual(label: IrrepLabel) -> IrrepLabel:
     On diagrams this prepends a copy of the first row; the twist survives
     the double complement unchanged and the weight is zeroed.
     """
-    return dual(extend_rank(dual(label)))
+    rows = label.diagram.rows
+    return IrrepLabel(YoungDiagram(rows[:1] + rows), label.rank + 1, label.twist, Fraction(0))
 
 
 def dimension(label: IrrepLabel) -> int:

@@ -27,6 +27,8 @@ polynomial carries its total degree, so one check per product, on the two
 largest keys, raises OverflowError before any exponent could carry into its
 neighbour.  A key has about 8 bits per variable, so a layout keeps no
 per-variable key until it is needed, and packing skips zero exponents.
+From six variables on every field is one byte, and `unpack` reads the
+key's bytes at once rather than shifting the whole key per variable.
 
 `coeffs` is a view rebuilt on every access: {exponent tuple: int or
 Fraction}.  Code that reads it in a loop should read it once.
@@ -86,6 +88,8 @@ class _Layout:
         return step
 
     def unpack(self, key: int) -> Monomial:
+        if self.mask == 0xFF:  # byte-wide fields: one read of the low nvars bytes
+            return tuple(key.to_bytes(self.nvars + 1, "little")[: self.nvars])
         mask = self.mask
         return tuple((key >> s) & mask for s in self.shifts)
 

@@ -30,7 +30,7 @@ from .operators import (
 )
 from .poly import Poly
 from .sections import (
-    PolyVectorField, TensorSection, _rearrangements, divergence, lie_derivative
+    PolyVectorField, TensorSection, _check_keys, _rearrangements, divergence, lie_derivative
 )
 
 
@@ -140,15 +140,25 @@ def density_quant_coefficients(m, k, lam, mu) -> QuantCoefficients:
 
 
 def quantize_densities(m, k, lam, mu, symbol: TensorSection):
-    """Quantize a symmetric degree-k symbol of weight mu - lambda into an operator.
+    """Quantize a symbol of degree k and weight mu - lambda into an operator.
 
-    Returns the operator together with the solved coefficients; raises
-    ResonantWeight when mu - lambda is resonant for degree-k symbols, and
-    ValueError when two rearrangements of an index hold different polynomials.
+    Returns the operator with the solved coefficients; raises ValueError for a
+    symbol `_check_symbol` refuses and ResonantWeight at a resonant weight.
     """
-    lam = Fraction(lam)
-    mu = Fraction(mu)
-    _check_symbol(m, k, mu - lam, symbol)
+    _check_symbol(m, k, Fraction(mu) - Fraction(lam), symbol)
+    coeffs = density_quant_coefficients(m, k, lam, mu)
+    return quantization_operator(symbol, coeffs.values), coeffs
+
+
+def _check_symbol(m: int, k: int, delta: Fraction, symbol: TensorSection) -> None:
+    """ValueError unless the symbol lies in S^k (x) F_delta, checked in order:
+    rank m, degree k, no twist and weight delta; every key k indices below m;
+    one polynomial on all rearrangements of each stored key."""
+    if symbol.rank != m or symbol.degree != k:
+        raise ValueError(f"symbol has shape ({symbol.rank}, {symbol.degree}), want ({m}, {k})")
+    if symbol.twist != 0 or Fraction(symbol.weight) != delta:
+        raise ValueError("symbol must be twist-free with weight mu - lambda")
+    _check_keys(m, k, symbol.coeffs)
     seen = set()  # the sorted indices whose rearrangements were compared
     for index, p in symbol.coeffs.items():
         if (key := tuple(sorted(index))) not in seen:
@@ -159,16 +169,6 @@ def quantize_densities(m, k, lam, mu, symbol: TensorSection):
                         f"symbol is not symmetric: index {index} and its rearrangement "
                         f"{other} hold different polynomials"
                     )
-    coeffs = density_quant_coefficients(m, k, lam, mu)
-    return quantization_operator(symbol, coeffs.values), coeffs
-
-
-def _check_symbol(m: int, k: int, delta: Fraction, symbol: TensorSection) -> None:
-    """ValueError unless the symbol has rank m, degree k, no twist and weight delta."""
-    if symbol.rank != m or symbol.degree != k:
-        raise ValueError(f"symbol has shape ({symbol.rank}, {symbol.degree}), want ({m}, {k})")
-    if symbol.twist != 0 or Fraction(symbol.weight) != delta:
-        raise ValueError("symbol must be twist-free with weight mu - lambda")
 
 
 def solver_singular_deltas(m: int, k: int, lam=Fraction(1, 2)) -> tuple[Fraction, ...]:
@@ -202,9 +202,8 @@ def verify_equivariance(
     each sample symbol, and each test function; nonzero residuals are
     reported per grading, each failure naming its generator's index in
     `sl_basis(m)`, rather than raised.  Constants c_0..c_k of another
-    order, a symbol that `quantize_densities` would refuse for its rank,
-    degree, twist or weight, and symbols or functions with no nonzero entry
-    raise ValueError; a symbol's symmetry is not checked.
+    order, any symbol `_check_symbol` refuses, as `quantize_densities` does,
+    and symbols or functions with no nonzero entry raise ValueError.
     """
     lam = Fraction(lam)
     mu = Fraction(mu)

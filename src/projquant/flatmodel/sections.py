@@ -100,6 +100,7 @@ def young_section(
     """
     rows = YoungDiagram(rows).rows  # non-increasing, or ValueError
     degree = sum(rows)
+    _check_keys(rank, degree, data)
     starts = [sum(rows[:r]) for r in range(len(rows))]
     columns = [[s + c for s, r in zip(starts, rows) if r > c] for c in range(max(rows, default=0))]
     moves = []  # (slot order, sign) of every permutation within the columns
@@ -108,8 +109,6 @@ def young_section(
         moves.append((order, -1 if _odd(order) else 1))
     parts: dict[Index, list[tuple[int, Poly]]] = defaultdict(list)
     for index, p in data.items():
-        if len(index) != degree or not all(0 <= i < rank for i in index):
-            raise ValueError(f"key {index} is not {degree} indices below {rank}")
         segments = (_rearrangements(tuple(sorted(index[s : s + r]))) for s, r in zip(starts, rows))
         for spread in product(*segments):
             spread = sum(spread, ())
@@ -117,6 +116,13 @@ def young_section(
                 parts[tuple(spread[o] for o in order)].append((sign, p))
     out = {index: poly_combination(rank, terms) for index, terms in parts.items()}
     return TensorSection(rank, degree, twist, weight, out)
+
+
+def _check_keys(rank: int, degree: int, keys) -> None:
+    """ValueError naming the first key that is not `degree` indices below `rank`."""
+    for index in keys:
+        if len(index) != degree or not all(0 <= i < rank for i in index):
+            raise ValueError(f"key {index} is not {degree} indices below {rank}")
 
 
 def _odd(index: Index) -> bool:

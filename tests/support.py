@@ -601,6 +601,21 @@ def direct_casimir(section: TensorSection) -> TensorSection:
     return total
 
 
+def operator_casimir(op: DiffOperator, lam, mu) -> DiffOperator:
+    """sum_u L_u(L_u+(A)) over the Killing-dual field pairs, for an operator A
+    from lam- to mu-densities acted on by L_X A = L^mu_X o A - A o L^lam_X:
+    the Casimir on operators through which the paper builds Q (Duval,
+    Lecomte and Ovsienko, Ann. Inst. Fourier 49, 1999)."""
+    m = op.rank
+
+    def act(field, a):
+        return operator_combination(
+            m, [(1, compose(lie_operator(field, mu), a)), (-1, compose(a, lie_operator(field, lam)))]
+        )
+
+    return operator_combination(m, [(1, act(u, act(ud, op))) for u, ud in casimir_field_pairs(m)])
+
+
 # The derivation of the flat Casimir's closed form.  The sum does not depend
 # on the section, so it is expanded once per rank.  With
 # L_X = X . grad + sum_slots (-DX on the slot) + t div X, t = delta - n, it

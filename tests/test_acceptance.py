@@ -30,19 +30,25 @@ from projquant import (
     symbol_rep,
 )
 from projquant.flatmodel import (
+    DiffOperator,
     Poly,
     classical_casimir,
+    contraction_operator,
     density_quant_coefficients,
+    quantization_operator,
     random_polynomial,
     random_section,
     solver_singular_deltas,
     verify_equivariance,
     young_section,
 )
+from projquant.flatmodel.operators import operator_combination
+from projquant.flatmodel.quantize import divergence_tower
 from support import (
     all_canonical_diagrams,
     assert_solve_singular_exactly_on_formula,
     char_eval,
+    operator_casimir,
     random_canonical_label,
     random_diagram,
     random_point,
@@ -53,7 +59,7 @@ from support import (
 
 
 @contextmanager
-def criterion(number: int, description: str):
+def criterion(number: int | str, description: str):
     try:
         yield
     except BaseException:
@@ -284,3 +290,49 @@ def test_symbol_space_check_rejects_a_dropped_an_added_or_a_shifted_eigenvalue()
             alphas[:-1] + [alphas[-1] + Fraction(1, 7)],
         ):
             assert not annihilated_exactly_by(s, wrong), (s, alphas, wrong)
+
+
+def operator_casimir_cases():
+    """(m, k, lam, delta, P) over the grid of criterion 3b: m = 2, 3 and
+    k = 1..3 at one generic weight.  P is the symmetric x_0^k plus a random
+    symbol, so no Div^l P vanishes and every c_l reaches Q(P)."""
+    rng = random.Random(3)
+    lam, delta = Fraction(1, 3), Fraction(2, 7)
+    for m, k in product((2, 3), (1, 2, 3)):
+        top = Poly.monomial(m, (k,) + (0,) * (m - 1))
+        power = young_section(m, (k,), 0, delta, {(0,) * k: top})
+        yield m, k, lam, delta, power + random_section(m, (k,), 0, delta, 1, rng)
+
+
+def casimir_defect(op: DiffOperator, lam, mu, alpha) -> DiffOperator:
+    """C(A) - alpha A for the Casimir on operators from lam- to mu-densities."""
+    return operator_combination(op.rank, [(1, operator_casimir(op, lam, mu)), (-alpha, op)])
+
+
+def test_criterion_3b_casimir_on_operators():
+    with criterion("3b", "the Casimir on operators is bidiagonal on Div^l P and scales Q(P)"):
+        # T_l = <Div^l P, grad^(k-l)> has principal symbol in S^(k-l) (x) F_delta,
+        # and C(T_l) = alpha(S^(k-l)_delta) T_l + n_l T_(l+1); off the resonant
+        # set Q(P) is the eigenvector of alpha(S^k_delta) with principal symbol P
+        for m, k, lam, delta, symbol in operator_casimir_cases():
+            mu = lam + delta
+            tower = [contraction_operator(t) for t in divergence_tower(symbol)]
+            for l, (t, below) in enumerate(zip(tower, tower[1:] + [DiffOperator(m)])):
+                alpha = eigenvalue(canonicalize((k - l,), m, 0, delta))(delta)
+                n = (k - l) * ((m + 1) * lam + k - l - 1) / (m + 1)
+                defect = casimir_defect(t, lam, mu, alpha)
+                assert defect == operator_combination(m, [(n, below)]), (m, k, l)
+            alpha = eigenvalue(canonicalize((k,), m, 0, delta))(delta)
+            qop = quantization_operator(symbol, density_quant_coefficients(m, k, lam, mu).values)
+            assert not casimir_defect(qop, lam, mu, alpha), (m, k)
+
+
+def test_operator_casimir_check_rejects_each_wrong_coefficient():
+    # c_l + 1/5 for each l = 1..k moves Q(P) off the eigenvalue
+    for m, k, lam, delta, symbol in operator_casimir_cases():
+        mu = lam + delta
+        alpha = eigenvalue(canonicalize((k,), m, 0, delta))(delta)
+        values = density_quant_coefficients(m, k, lam, mu).values
+        for l in range(1, k + 1):
+            wrong = values[:l] + (values[l] + Fraction(1, 5),) + values[l + 1 :]
+            assert casimir_defect(quantization_operator(symbol, wrong), lam, mu, alpha), (m, k, l)

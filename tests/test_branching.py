@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from projquant import (
     BranchLabel,
@@ -13,6 +15,7 @@ from projquant import (
     canonicalize,
     component,
     dimension,
+    dual,
     extend_rank,
     extend_rank_dual,
     max_removal_embedding,
@@ -22,8 +25,10 @@ from projquant.flatmodel import Poly, young_section
 from support import (
     LinearSystem,
     char_eval,
+    labels,
     padded_branch_labels,
     padded_component,
+    padded_row_slacks,
     random_canonical_label,
     random_point,
     schur_eval,
@@ -161,6 +166,24 @@ def test_max_removal_embedding_recovers_diagram():
     assert component(parent, q).diagram == label.diagram
 
     assert max_removal_embedding(canonicalize((), 2)) == BranchLabel(())
+
+
+@given(st.integers(2, 9).flatmap(labels))
+def test_max_removal_embedding_is_the_slacks_of_the_double_complement(label):
+    parent = dual(extend_rank(dual(label)))
+    assert max_removal_embedding(label) == BranchLabel(padded_row_slacks(parent))
+
+
+def test_rank_extensions_at_a_large_rank_read_only_the_rows():
+    # the double complement walked every row up to the rank: about 0.5 s
+    # each at m = 10^6
+    label = canonicalize((3, 1), 10**6)
+    start = time.perf_counter()
+    extended = extend_rank_dual(label)
+    q = max_removal_embedding(label)
+    assert time.perf_counter() - start < 0.05
+    assert extended == canonicalize((3, 3, 1), 10**6 + 1)
+    assert q == BranchLabel((0, 2, 1))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projquant import (
     IrrepLabel,
@@ -201,6 +202,12 @@ def test_extend_rank_dual_keeps_twist():
         label = random_canonical_label(rng, rng.choice((2, 3, 4)))
         out = extend_rank_dual(label)
         assert out.twist == label.twist and out.weight == 0
+
+
+@given(st.integers(2, 9).flatmap(labels))
+def test_extend_rank_dual_is_the_double_complement(label):
+    # the closed form against its definition
+    assert extend_rank_dual(label) == dual(extend_rank(dual(label)))
 
 
 def test_dimension_values():

@@ -104,7 +104,8 @@ def test_quantize_validates_symbol():
 
 
 def _asymmetric_case():
-    # m = 2, k = 2 and the symbol x0^2 + x1 stored at (0, 1) alone
+    # m = 2, k = 2 and the polynomial x0^2 + x1, which the tests store at
+    # (0, 1) alone (not symmetric) or spread over (0, 1) and (1, 0)
     m, k, lam = 2, 2, Fraction(1, 3)
     mu = lam + Fraction(5, 11)
     x0, x1 = Poly.variable(m, 0), Poly.variable(m, 1)
@@ -132,11 +133,13 @@ def test_quantize_refuses_a_symbol_that_is_not_symmetric():
 
 
 def test_equivariance_failures_name_their_generator():
-    # the two quadratic generators of sl(3) fail on the same symbol and function
+    # with c_1 off by 1/5 the two quadratic generators of sl(3) fail on the
+    # same symmetric symbol and function
     m, k, lam, mu, p, f = _asymmetric_case()
-    coeffs = density_quant_coefficients(m, k, lam, mu)
-    symbol = TensorSection(m, k, 0, mu - lam, {(0, 1): p})
-    report = verify_equivariance(m, k, lam, mu, coeffs.values, [symbol], [f])
+    half = p.scale(Fraction(1, 2))
+    symbol = TensorSection(m, k, 0, mu - lam, {(0, 1): half, (1, 0): half, (1, 1): p})
+    c0, c1, c2 = density_quant_coefficients(m, k, lam, mu).values
+    report = verify_equivariance(m, k, lam, mu, (c0, c1 + Fraction(1, 5), c2), [symbol], [f])
     assert report.translations_exact and report.linear_exact and not report.quadratic_exact
     assert report.failures == (
         "generator 4 (grading 1), symbol 0, function 0",
@@ -161,17 +164,29 @@ def test_equivariance_refuses_constants_or_symbols_of_another_order():
         with pytest.raises(ValueError) as exc:
             verify_equivariance(m, k, lam, mu, coeffs, [symbol], [f])
         assert str(exc.value) == message
-    # a symbol quantize_densities refuses for its rank, twist or weight, with its message
-    for wrong in [
-        TensorSection(3, 1, 0, delta, {(0,): Poly.constant(3, 1)}),
-        TensorSection(m, 1, 1, delta, one.coeffs),
-        TensorSection(m, 1, 0, delta + 1, one.coeffs),
+    # a symbol quantize_densities refuses, with its message: for its rank,
+    # twist or weight, an asymmetric one, a key past the rank and a key of
+    # another length; the last three once gave a report or an IndexError
+    p = _asymmetric_case()[4]
+    twist_free = "symbol must be twist-free with weight mu - lambda"
+    asymmetric = (
+        "symbol is not symmetric: index (0, 1) and its rearrangement (1, 0) "
+        "hold different polynomials"
+    )
+    for k, wrong, message in [
+        (1, TensorSection(3, 1, 0, delta, {(0,): Poly.constant(3, 1)}),
+         "symbol has shape (3, 1), want (2, 1)"),
+        (1, TensorSection(m, 1, 1, delta, one.coeffs), twist_free),
+        (1, TensorSection(m, 1, 0, delta + 1, one.coeffs), twist_free),
+        (2, TensorSection(m, 2, 0, delta, {(0, 1): p}), asymmetric),
+        (1, TensorSection(m, 1, 0, delta, {(5,): p}), "key (5,) is not 1 indices below 2"),
+        (1, TensorSection(m, 1, 0, delta, {(0, 1): p}), "key (0, 1) is not 1 indices below 2"),
     ]:
         with pytest.raises(ValueError) as refused:
-            quantize_densities(m, 1, lam, mu, wrong)
+            quantize_densities(m, k, lam, mu, wrong)
         with pytest.raises(ValueError) as exc:
-            verify_equivariance(m, 1, lam, mu, order[1], [one, wrong], [f])
-        assert str(exc.value) == str(refused.value)
+            verify_equivariance(m, k, lam, mu, order[k], [{1: one, 2: two}[k], wrong], [f])
+        assert str(exc.value) == str(refused.value) == message
     assert verify_equivariance(m, 1, lam, mu, order[1], [one], [f]).all_exact
 
 
