@@ -131,7 +131,9 @@ def classical_casimir(section: TensorSection) -> TensorSection:
     derivation from the Killing-dual field pairs, with its check that every
     term is a constant, is in tests/support.py; the tests compare it with
     this form at m = 2..8, and this operator with the sum of iterated Lie
-    derivatives.  A rank below 2 raises ValueError.
+    derivatives.  A rank below 2 raises ValueError.  Every key must be
+    `degree` indices below the rank; no key is checked, since a check would
+    be paid on every call.
     """
     m, k = section.rank, section.degree
     if m < 2:

@@ -60,7 +60,12 @@ def divergence_tower(symbol: TensorSection) -> list[TensorSection]:
 
 
 def quantization_operator(symbol: TensorSection, coefficients) -> DiffOperator:
-    """Assemble Q(P) from a symbol and divergence-ansatz constants."""
+    """Assemble Q(P) from a symbol and divergence-ansatz constants.
+
+    ValueError on a key that is not `degree` indices below the rank, at
+    degree 0 too, where no divergence is taken.
+    """
+    _check_keys(symbol.rank, symbol.degree, symbol.coeffs)
     tower = divergence_tower(symbol)
     return operator_combination(
         symbol.rank, [(coefficients[l], contraction_operator(t)) for l, t in enumerate(tower)]

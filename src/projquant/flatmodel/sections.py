@@ -49,7 +49,13 @@ class PolyVectorField(Record):
 
 
 class TensorSection(Record):
-    """Weighted polynomial tensor field: full index tuples -> nonzero coefficients."""
+    """Weighted polynomial tensor field: full index tuples -> nonzero coefficients.
+
+    Every key should be `degree` indices below `rank`; the constructor does
+    not check it.  `young_section`, `lie_derivative`, `divergence` and the
+    quantization entry points refuse any other key with ValueError;
+    `classical_casimir` and `contraction_operator` assume it.
+    """
 
     __slots__ = ("rank", "degree", "twist", "weight", "coeffs")
 
@@ -121,7 +127,7 @@ def young_section(
 def _check_keys(rank: int, degree: int, keys) -> None:
     """ValueError naming the first key that is not `degree` indices below `rank`."""
     for index in keys:
-        if len(index) != degree or not all(0 <= i < rank for i in index):
+        if len(index) != degree or (degree and (min(index) < 0 or max(index) >= rank)):
             raise ValueError(f"key {index} is not {degree} indices below {rank}")
 
 
@@ -275,11 +281,13 @@ def lie_derivative(field: PolyVectorField, section: TensorSection) -> TensorSect
     """Lie derivative of a weighted tensor section along a polynomial field.
 
     Exact; output coefficient degree is bounded by
-    max_degree(section) + deg(field) - 1.
+    max_degree(section) + deg(field) - 1.  ValueError on a field of another
+    rank, or on a key that is not `degree` indices below the rank.
     """
     m = section.rank
     if field.rank != m:
         raise ValueError("field and section rank differ")
+    _check_keys(m, section.degree, section.coeffs)
     components = field.components
     columns: dict[int, list[tuple[int, Poly]]] = {}  # j -> nonzero (i, -d_j X^i)
     trace_factor = section.weight - section.twist
@@ -308,10 +316,13 @@ def divergence(section: TensorSection) -> TensorSection:
     """Contract the first slot with a derivative: (Div T)^I = sum_j d_j T^{jI}.
 
     Intended for symmetric sections, where the slot choice is immaterial.
+    ValueError below one slot, or on a key that is not `degree` indices
+    below the rank.
     """
     if section.degree < 1:
         raise ValueError("divergence needs at least one slot")
     m = section.rank
+    _check_keys(m, section.degree, section.coeffs)
     parts: dict[Index, list[Poly]] = defaultdict(list)
     for index, p in section.coeffs.items():
         parts[index[1:]].append(p.diff(index[0]))

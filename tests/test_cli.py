@@ -735,6 +735,108 @@ def test_optimized_interpreter_prints_the_same_bytes():
         assert runs[1].stderr == b""
 
 
+def console_env(unbuffered: bool = False) -> dict:
+    """Environment of a `python -m projquant.cli` child: these sources, the
+    default format, an 80-column help text and the chosen stdout buffering."""
+    env = dict(os.environ, PYTHONPATH=str(Path(projquant.__file__).parents[1]), COLUMNS="80")
+    env.pop("PROJQUANT_FORMAT", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def run_console(*argv: str, unbuffered: bool = False, stdout=subprocess.PIPE):
+    return subprocess.run(
+        [sys.executable, "-m", "projquant.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=console_env(unbuffered), timeout=120,
+    )  # fmt: skip
+
+
+def test_console_entry_prints_what_main_prints(capsys, monkeypatch):
+    # the process ends in os._exit after an explicit flush: every exit code
+    # and every byte on stdout and stderr must be those of the in-process main
+    monkeypatch.delenv("PROJQUANT_FORMAT", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help at this width
+    codes = []
+    for argv in [*_PINNED_SWEEP, ["eigenvalue", "--m", "3"], ["--help"]]:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # the usage error and --help
+            code = exc.code
+        expected = capsys.readouterr()
+        run = run_console(*argv)
+        assert (run.returncode, run.stdout, run.stderr) == (
+            code, expected.out.encode(), expected.err.encode()
+        ), argv  # fmt: skip
+        codes.append(code)
+    assert codes[-2:] == [2, 0] and codes.count(1) == 1  # the resonant quantize
+
+
+def test_output_past_the_pipe_buffer_arrives_whole(capsys):
+    # more than a pipe holds (64 KiB), with stdout buffered: the child blocks
+    # on the write until the reader drains the pipe, and every byte must
+    # still arrive before the process ends
+    argv = ["branch", "--m", "10", "--diagram", "9,8,7,6,5,4,3,2,1"]
+    code, out = run_cli(capsys, *argv)
+    run = run_console(*argv)
+    assert run.returncode == code == 0 and run.stderr == b""
+    assert len(run.stdout) == 75775 > 1 << 16
+    assert run.stdout == out.encode()
+
+
+def test_console_entry_runs_the_exit_handlers():
+    # the entry skips interpreter teardown but not atexit, where a wrapper
+    # such as coverage's subprocess hook saves its data
+    script = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write('exit handler ran\\n'))\n"
+        "runpy.run_module('projquant.cli', run_name='__main__')\n"
+    )
+    argv = ["eigenvalue", "--m", "3", "--diagram", "2,1", "--delta", "1/3"]
+    run = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, env=console_env(), timeout=120,
+    )  # fmt: skip
+    assert run.returncode == 0 and json.loads(run.stdout)["alpha"] == "29/12"
+    assert run.stderr == "exit handler ran\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "target,cause",
+    [
+        ("pipe", "[Errno 32] Broken pipe"),
+        ("full", "[Errno 28] No space left on device"),
+        ("closed", "stdout is closed"),
+    ],
+    ids=["pipe", "full", "closed"],
+)
+def test_unwritable_output_exits_one_with_one_stderr_line(target, cause, unbuffered):
+    # buffered, the error comes from the final flush; unbuffered, from the
+    # write itself; with stdout closed, sys.stdout is None
+    argv = ("branch", "--m", "6", "--diagram", "5,4,3,2,1")
+    if target == "pipe":  # the read end is closed before the child writes
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = run_console(*argv, unbuffered=unbuffered, stdout=write_end)
+        finally:
+            os.close(write_end)
+    elif target == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "wb") as full:
+            run = run_console(*argv, unbuffered=unbuffered, stdout=full)
+    else:
+        run = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "projquant.cli", *argv],
+            stderr=subprocess.PIPE, env=console_env(unbuffered), timeout=120,
+        )  # fmt: skip
+    assert run.returncode == 1
+    assert run.stderr.decode() == f"projquant: cannot write output: {cause}\n"
+
+
 def test_rational_flag_without_a_value_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eigenvalue", "--m", "2", "--diagram", "1", "--delta", "--n", "0"])

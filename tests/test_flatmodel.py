@@ -37,6 +37,7 @@ from projquant.flatmodel import (
     lie_derivative,
     lift_plan,
     proj_embedding,
+    quantization_operator,
     random_polynomial,
     random_section,
     sl_basis,
@@ -694,6 +695,26 @@ def test_divergence_degree_zero_rejected():
     section = TensorSection(2, 0, 0, Fraction(0), {(): Poly.constant(2, 1)})
     with pytest.raises(ValueError):
         divergence(section)
+
+
+def test_section_operators_refuse_a_key_that_is_not_degree_indices_below_the_rank():
+    # a key past the rank once raised a bare IndexError, and a negative key,
+    # or any key at degree 0, gave an answer; classical_casimir and
+    # contraction_operator check no key
+    m, x0 = 2, Poly.variable(2, 0)
+    field = quadratic_generator(m)
+    for degree, key in [(1, (5,)), (1, (-1,)), (2, (0,)), (0, (5,))]:
+        section = TensorSection(m, degree, 0, Fraction(1, 3), {key: x0})
+        calls = [
+            lambda: lie_derivative(field, section),
+            lambda: quantization_operator(section, [1] * (degree + 1)),
+        ]
+        if degree:
+            calls.append(lambda: divergence(section))
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == f"key {key} is not {degree} indices below {m}"
 
 
 def test_double_divergence_matches_hand_expansion():

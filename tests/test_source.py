@@ -135,6 +135,27 @@ def test_lazy_exports_resolve_to_their_home_modules(package):
         module.no_such_name
 
 
+def test_console_script_is_the_function_the_main_block_calls():
+    # the script and `python -m projquant.cli` share one entry, which flushes
+    # and skips interpreter teardown; a script target of `main` would give
+    # installed users the teardown and the tracebacks on unwritable output
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    cli = ast.parse((Path(projquant.__file__).parent / "cli.py").read_text())
+    blocks = [
+        node.body
+        for node in cli.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert len(blocks) == 1
+    [statement] = blocks[0]
+    assert isinstance(statement, ast.Expr)
+    call = statement.value
+    assert isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and not call.args
+    assert scripts == {"projquant": f"projquant.cli:{call.func.id}"}
+
+
 def test_submodules_import_beside_lazy_exports():
     from projquant import cli
     from projquant.flatmodel import quantize
